@@ -21,6 +21,7 @@ from .algebra import (
     AlgebraElement,
     LinearMap,
     MonomialQuotientAlgebra,
+    _acc,
     algebra_hom,
     invert_unit,
     null_space,
@@ -86,9 +87,12 @@ class HopfAlgebra:
         r = self.rank
         for i, a in u.items():
             for j, b in v.items():
+                col = self.mult.cols[i * r + j]
+                if not col:
+                    continue
                 c = a * b
-                for k, m in self.mult.cols[i * r + j].items():
-                    _vacc(out, k, c * m)
+                for k, m in col.items():
+                    _acc(out, k, c * m)
         return out
 
     def vec_pow(self, u: dict, n: int) -> dict:
@@ -104,38 +108,31 @@ class HopfAlgebra:
         return acc
 
     def square_mult(self, u: dict, v: dict) -> dict:
-        """Product in H(x)H of two sparse vectors over the tensor basis."""
+        """Product in H(x)H of two sparse vectors over the tensor basis.
+
+        A pair whose structure column is empty on either side contributes
+        nothing, so its scalar product is never formed.
+        """
         r = self.rank
         out: dict = {}
         for ij, a in u.items():
             i, j = divmod(ij, r)
             for kl, b in v.items():
                 k, l = divmod(kl, r)
-                c = a * b
                 w1 = self.mult.cols[i * r + k]
                 w2 = self.mult.cols[j * r + l]
+                if not (w1 and w2):
+                    continue
+                c = a * b
                 for t1, c1 in w1.items():
                     base = t1 * r
                     cc1 = c * c1
                     for t2, c2 in w2.items():
-                        _vacc(out, base + t2, cc1 * c2)
+                        _acc(out, base + t2, cc1 * c2)
         return out
 
     def __repr__(self):
         return f"<HopfAlgebra rank {self.rank} over {self.ring.tag}>"
-
-
-def _vacc(out: dict, key, val):
-    cur = out.get(key)
-    if cur is None:
-        if not val.is_zero():
-            out[key] = val
-    else:
-        s = cur + val
-        if s.is_zero():
-            del out[key]
-        else:
-            out[key] = s
 
 
 def _outer(u: dict, v: dict, r: int) -> dict:
@@ -332,9 +329,9 @@ def verify_axioms(h) -> AxiomReport:
         for ij, c in u.items():
             i, j = divmod(ij, r)
             for ab, d in s.comul.cols[i].items():
-                _vacc(lhs, ab * r + j, c * d)
+                _acc(lhs, ab * r + j, c * d)
             for ab, d in s.comul.cols[j].items():
-                _vacc(rhs, i * r * r + ab, c * d)
+                _acc(rhs, i * r * r + ab, c * d)
         if lhs != rhs:
             offender = labels[k]
             break
@@ -347,8 +344,8 @@ def verify_axioms(h) -> AxiomReport:
         right: dict = {}
         for ij, c in s.comul.cols[k].items():
             i, j = divmod(ij, r)
-            _vacc(left, j, c * eps[i])
-            _vacc(right, i, c * eps[j])
+            _acc(left, j, c * eps[i])
+            _acc(right, i, c * eps[j])
         expected = {k: ring.one()}
         if left != expected or right != expected:
             offender = labels[k]
@@ -363,13 +360,19 @@ def verify_axioms(h) -> AxiomReport:
         for ij, c in s.comul.cols[k].items():
             i, j = divmod(ij, r)
             for si, sc in s.antipode.cols[i].items():
+                col = s.mult.cols[si * r + j]
+                if not col:
+                    continue
                 csc = c * sc
-                for m, mc in s.mult.cols[si * r + j].items():
-                    _vacc(left, m, csc * mc)
+                for m, mc in col.items():
+                    _acc(left, m, csc * mc)
             for sj, sc in s.antipode.cols[j].items():
+                col = s.mult.cols[i * r + sj]
+                if not col:
+                    continue
                 csc = c * sc
-                for m, mc in s.mult.cols[i * r + sj].items():
-                    _vacc(right, m, csc * mc)
+                for m, mc in col.items():
+                    _acc(right, m, csc * mc)
         expected = {i: eps[k] * c for i, c in s.unit.items() if not (eps[k] * c).is_zero()}
         if left != expected or right != expected:
             offender = labels[k]
@@ -760,10 +763,13 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
         rhs: dict = {}
         for ij, c in s1.comul.cols[k].items():
             i, j = divmod(ij, r)
+            pj = phi.cols[j]
+            if not pj:
+                continue
             for a, ca in phi.cols[i].items():
                 cca = c * ca
-                for b, cb in phi.cols[j].items():
-                    _vacc(rhs, a * r + b, cca * cb)
+                for b, cb in pj.items():
+                    _acc(rhs, a * r + b, cca * cb)
         if lhs != rhs:
             offender = s1.labels[k]
             break
@@ -814,7 +820,7 @@ def _echelon(cols: list[dict]) -> list[tuple[int, dict]]:
             if c is not None:
                 f = c / pivot
                 for i, val in col.items():
-                    _vacc(other, i, -(f * val))
+                    _acc(other, i, -(f * val))
             if other:
                 rest.append(other)
         work = rest
@@ -833,7 +839,7 @@ def _member(pivots: list[tuple[int, dict]], vec: dict) -> bool:
         except NonUnitError:
             return False
         for i, val in col.items():
-            _vacc(v, i, -(f * val))
+            _acc(v, i, -(f * val))
     return not v
 
 
@@ -929,7 +935,7 @@ def hopf_quotient(h: HopfPresentation, ideal_gens: list[AlgebraElement]) -> Hopf
             if any(e[i] for e in halves for i in killed):
                 continue
             new = tuple(v for half in halves for v in project(half))
-            _vacc(out, new, c)
+            _acc(out, new, c)
         return out
 
     B = MonomialQuotientAlgebra(

@@ -143,7 +143,11 @@ class UnivariatePoly:
 
     @staticmethod
     def one(p: int) -> "UnivariatePoly":
-        return UnivariatePoly((1,), p)
+        # Shared per p: every denominator-1 fraction holds this instance.
+        one = _ONES.get(p)
+        if one is None:
+            one = _ONES[p] = UnivariatePoly((1,), p)
+        return one
 
     @staticmethod
     def t(p: int, power: int = 1) -> "UnivariatePoly":
@@ -202,12 +206,17 @@ class UnivariatePoly:
         deg = self.degree + other.degree
         if deg > MAX_T_DEGREE:
             raise DegreeOverflowError(f"t-degree {deg} exceeds the bound {MAX_T_DEGREE}")
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1 or len(b) == 1:
+            # One operand is a constant: scale the other in one pass.
+            c, rest = (a[0], b) if len(a) == 1 else (b[0], a)
+            return UnivariatePoly([c * x for x in rest], self.p)
         out = [0] * (deg + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        for i, ai in enumerate(a):
+            if ai == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
         return UnivariatePoly(out, self.p)
 
     def divmod(self, other) -> tuple["UnivariatePoly", "UnivariatePoly"]:
@@ -264,6 +273,9 @@ class UnivariatePoly:
 
     def __repr__(self):
         return f"UnivariatePoly({list(self.coeffs)}, {self.p})"
+
+
+_ONES: dict[int, UnivariatePoly] = {}
 
 
 def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
@@ -326,18 +338,25 @@ class _PolyFraction:
         other = self._check(other)
         if other is None:
             return NotImplemented
+        # Denominators are monic, so degree 0 means 1: add the numerators.
+        if self.den.degree == 0 and other.den.degree == 0:
+            return type(self)(self.num + other.num)
         return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
+        if self.den.degree == 0 and other.den.degree == 0:
+            return type(self)(self.num - other.num)
         return type(self)(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __mul__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
+        if self.den.degree == 0 and other.den.degree == 0:
+            return type(self)(self.num * other.num)
         return type(self)(self.num * other.num, self.den * other.den)
 
     def __neg__(self):

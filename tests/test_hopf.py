@@ -493,12 +493,75 @@ class TestStructureForm:
             a = random_element(rng, h.algebra)
             b = random_element(rng, h.algebra)
             assert s.vec_mult(a.vec(), b.vec()) == (a * b).vec()
+            # square_mult is the product of the tensor square, indexed i*rank + j
+            a2 = random_element(rng, h.square)
+            b2 = random_element(rng, h.square)
+            assert s.square_mult(a2.vec(), b2.vec()) == (a2 * b2).vec()
 
     def test_counit_of_vector(self):
         ge = specialize_hopf(deformation_hopf(2), Fiber.GENERIC)
         s = as_structure(ge)
         g = generic_grouplike(ge)
         assert s.counit_of(g.vec()) == ge.algebra.ring.one()
+
+
+def dense_vec_mult(s, u, v):
+    """Reference product: every index pair, no column skipped."""
+    r, zero = s.rank, s.ring.zero()
+    out = {}
+    for i in range(r):
+        for j in range(r):
+            c = u.get(i, zero) * v.get(j, zero)
+            for k, m in s.mult.cols[i * r + j].items():
+                out[k] = out.get(k, zero) + c * m
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def dense_square_mult(s, u, v):
+    """Reference product in H(x)H: every pair of tensor indices, no column skipped."""
+    r, zero = s.rank, s.ring.zero()
+    out = {}
+    for ij in range(r * r):
+        i, j = divmod(ij, r)
+        for kl in range(r * r):
+            k, l = divmod(kl, r)
+            c = u.get(ij, zero) * v.get(kl, zero)
+            for t1, c1 in s.mult.cols[i * r + k].items():
+                for t2, c2 in s.mult.cols[j * r + l].items():
+                    out[t1 * r + t2] = out.get(t1 * r + t2, zero) + c * c1 * c2
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+class TestKernelsAgainstDenseReference:
+    """The structure-tensor kernels skip empty columns; the dense sums do not."""
+
+    @staticmethod
+    def scalar(rng, ring):
+        c = ring.from_int(rng.randrange(ring.p)) * ring.t(rng.randrange(3))
+        return c / (ring.one() + ring.t()) if rng.randrange(2) else c
+
+    def vectors(self, rng, ring, dim, count):
+        return [
+            {i: c for i in range(dim) if not (c := self.scalar(rng, ring)).is_zero()}
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("which", ["constant_cyclic", "deformation"])
+    def test_vec_mult_and_square_mult(self, which):
+        if which == "constant_cyclic":
+            s = as_structure(catalog_build("constant_cyclic", 3, 2, Fiber.GENERIC).hopf)
+        else:
+            s = as_structure(deformation_hopf(3))
+        r = s.rank
+        rng = random.Random(3)
+        singles = [{i: s.ring.one()} for i in range(r)] + self.vectors(rng, s.ring, r, 4)
+        for u in singles:
+            for v in singles[::3]:
+                assert s.vec_mult(u, v) == dense_vec_mult(s, u, v)
+        squares = list(s.comul.cols) + self.vectors(rng, s.ring, r * r, 2)
+        for u in squares[::2]:
+            for v in squares[1::3]:
+                assert s.square_mult(u, v) == dense_square_mult(s, u, v)
 
 
 class TestSerialization:

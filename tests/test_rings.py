@@ -221,3 +221,111 @@ class TestDescriptors:
 
     def test_enumeration(self):
         assert [e.residue for e in PrimeField(5).elements()] == [0, 1, 2, 3, 4]
+
+
+class TestFastPaths:
+    """Denominator-1 fractions and constant polynomials take short cuts; each
+    must agree with the general formula it replaces."""
+
+    @staticmethod
+    def operand_pairs(kind, p):
+        rng = random.Random(11 * p)
+        one = poly([1], p)
+
+        def den1():
+            return kind(random_poly(rng, p))
+
+        def den_other():
+            while True:
+                den = random_poly(rng, p)
+                if den.degree > 0 and den.at_zero() != 0:
+                    return kind(random_poly(rng, p), den)
+
+        pairs = []
+        for _ in range(15):
+            pairs += [(den1(), den1()), (den1(), den_other()), (den_other(), den1())]
+        a = den1()
+        pairs += [(a, a), (a, kind(-a.num)), (kind(poly([], p)), den1()),
+                  (kind(poly([], p)), den_other())]
+        # den_other() may cancel down to 1; both cases must still be present.
+        assert any(x.den == one and y.den == one for x, y in pairs)
+        assert any((x.den == one) != (y.den == one) for x, y in pairs)
+        return pairs
+
+    @pytest.mark.parametrize("kind", [LocalRingElement, RationalFunction])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_arithmetic_matches_the_general_formula(self, kind, p):
+        for a, b in self.operand_pairs(kind, p):
+            assert a + b == type(a)(a.num * b.den + b.num * a.den, a.den * b.den)
+            assert a - b == type(a)(a.num * b.den - b.num * a.den, a.den * b.den)
+            assert a * b == type(a)(a.num * b.num, a.den * b.den)
+
+    @pytest.mark.parametrize("kind", [LocalRingElement, RationalFunction])
+    def test_zero_results_are_canonical(self, kind):
+        a = kind(poly([2, 1, 1], 3))
+        zero = kind(poly([], 3))
+        for result in (a - a, a + kind(-a.num), zero * a, a * zero):
+            assert result.is_zero()
+            assert result == zero
+            assert result.den == poly([1], 3)
+
+    def test_unit_polynomial_is_shared(self):
+        for p in (2, 3, 5, 7):
+            assert UnivariatePoly.one(p) is UnivariatePoly.one(p)
+            assert UnivariatePoly.one(p) == poly([1], p)
+        a, b = local([1, 2], [1], 5), local([3], [1], 5)
+        for result in (a + b, a - b, a * b):
+            assert result.den is UnivariatePoly.one(5)
+
+    @staticmethod
+    def schoolbook(f, g):
+        out = [0] * (len(f.coeffs) + len(g.coeffs))
+        for i, a in enumerate(f.coeffs):
+            for j, b in enumerate(g.coeffs):
+                out[i + j] += a * b
+        return UnivariatePoly(out, f.p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_constant_times_polynomial_matches_schoolbook(self, p):
+        rng = random.Random(p)
+        for _ in range(30):
+            c = poly([rng.randrange(1, p)], p)
+            f = random_poly(rng, p, max_deg=8)
+            assert c * f == self.schoolbook(c, f)
+            assert f * c == self.schoolbook(f, c)
+            assert c * c == self.schoolbook(c, c)
+
+    def test_zero_constant_gives_zero(self):
+        f = poly([1, 2, 3], 5)
+        for zero in (poly([0], 5), poly([5], 5), poly([], 5)):
+            assert (zero * f).is_zero()
+            assert (f * zero).is_zero()
+
+    def test_mixing_is_still_refused_on_denominator_one(self):
+        a, b = local([1, 1], [1], 3), rat([1, 1], [1], 3)
+        for op in ("__add__", "__sub__", "__mul__"):
+            with pytest.raises(ContextMismatchError):
+                getattr(a, op)(b)
+            with pytest.raises(ContextMismatchError):
+                getattr(b, op)(a)
+            with pytest.raises(ContextMismatchError):
+                getattr(a, op)(FpElement(1, 3))
+            with pytest.raises(PrimeMismatchError):
+                getattr(a, op)(local([1, 1], [1], 5))
+            with pytest.raises(PrimeMismatchError):
+                getattr(b, op)(rat([1], [1], 2))
+        with pytest.raises(PrimeMismatchError):
+            poly([2], 3) * poly([1, 1], 5)
+        with pytest.raises(ContextMismatchError):
+            poly([2], 3) * FpElement(2, 3)
+
+    def test_degree_guard_on_the_fast_paths(self):
+        half = MAX_T_DEGREE // 2 + 1
+        for kind in (LocalRingElement, RationalFunction):
+            big = kind(UnivariatePoly.t(3, half))
+            with pytest.raises(DegreeOverflowError):
+                big * big
+        top = UnivariatePoly.t(3, MAX_T_DEGREE)
+        assert (poly([2], 3) * top).coeffs[-1] == 2
+        with pytest.raises(DegreeOverflowError):
+            top * UnivariatePoly.t(3)
