@@ -558,43 +558,33 @@ class LinearMap:
             cols,
         )
 
-    def entry(self, i: int, j: int):
-        return self.cols[j].get(i, self.ring.zero())
-
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)
 
     def inverse(self) -> "LinearMap":
-        """Gauss-Jordan inverse; pivots must be units of the base ring."""
+        """Inverse by row reduction of [M | I]; pivots must be units of the base ring."""
         n = self.source_dim
         if self.target_dim != n:
             raise DimensionMismatchError("only square maps can be inverted")
-        zero = self.ring.zero()
-        rows = [[self.entry(i, j) for j in range(n)] for i in range(n)]
-        aug = [[self.ring.one() if i == j else zero for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next(
-                (r for r in range(col, n) if rows[r][col].is_unit()),
-                None,
-            )
-            if pivot is None:
+        one = self.ring.one()
+        rows = [{n + i: one} for i in range(n)]
+        for j, col in enumerate(self.cols):
+            for i, c in col.items():
+                rows[i][j] = c
+        # [M | I] has rank n, so it reduces to n rows.  M is invertible when
+        # they are [I | M^-1]; the first column k without a unit pivot is
+        # the first column of M mod t that depends on the columns before it.
+        reduced = row_reduce(rows)
+        for k, (col, row) in enumerate(reduced):
+            if col != k or not row[k].is_unit():
                 raise NotInvertibleError(
-                    f"no unit pivot in column {col}; the map is not invertible over {self.ring.tag}"
+                    f"no unit pivot in column {k}; the map is not invertible over {self.ring.tag}"
                 )
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = rows[col][col].invert()
-            rows[col] = [v * inv for v in rows[col]]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = rows[r][col]
-                if f.is_zero():
-                    continue
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        cols = [{i: aug[i][j] for i in range(n) if not aug[i][j].is_zero()} for j in range(n)]
+        cols: list[dict] = [{} for _ in range(n)]
+        for i, (_, row) in enumerate(reduced):
+            for j, c in row.items():
+                if j >= n:
+                    cols[j - n][i] = c
         return LinearMap(self.ring, n, n, cols)
 
     def __eq__(self, other):
@@ -624,45 +614,104 @@ def tensor_apply(f: LinearMap, g: LinearMap, vec: dict) -> dict:
     return out
 
 
+def row_reduce(rows) -> list[tuple[int, dict]]:
+    """Echelon basis of the span of sparse rows, pivoting on t-valuation.
+
+    Columns are taken in increasing order.  In each one the pivot is the
+    remaining row whose entry has the least t-valuation, so every multiplier
+    that clears the column lies in the base ring, also over F_p[t]_(t) where
+    a pivot need not be a unit.  A unit pivot is scaled to 1 and also clears
+    its column in the earlier pivot rows: over a field, or whenever every
+    pivot is a unit, the result is the reduced echelon form.  Returns
+    (pivot column, row) pairs in column order; each row is zero left of
+    its pivot column.
+    """
+    work = [r for r in ({j: c for j, c in row.items() if not c.is_zero()} for row in rows) if r]
+    reduced: list[tuple[int, dict]] = []
+    for col in sorted({j for row in work for j in row}):
+        hits = [row for row in work if col in row]
+        if not hits:
+            continue
+        # Entries of F_p and F_p[t]_(t) have valuation >= 0, so the scan can
+        # stop at 0; over F_p(t) every nonzero pivot is a unit anyway.
+        pivot_row, least = None, None
+        for row in hits:
+            v = row[col].t_valuation()
+            if least is None or v < least:
+                pivot_row, least = row, v
+                if v <= 0:
+                    break
+        pivot = pivot_row[col]
+        targets = hits
+        if pivot.is_unit():
+            inv = pivot.invert()
+            for j, c in pivot_row.items():
+                pivot_row[j] = c * inv
+            pivot = pivot_row[col]
+            targets = hits + [row for _, row in reduced if col in row]
+        for row in targets:
+            if row is not pivot_row:
+                _subtract_multiple(row, row[col] / pivot, pivot_row)
+        reduced.append((col, pivot_row))
+        work = [row for row in work if row and row is not pivot_row]
+        if not work:
+            break
+    return reduced
+
+
+def in_span(reduced: list[tuple[int, dict]], vec: dict) -> bool:
+    """Whether vec is a base-ring combination of the rows of a row_reduce result.
+
+    The coefficient of each row is forced by its pivot column, so vec lies
+    in the span exactly when every such quotient stays in the base ring and
+    nothing is left over.
+    """
+    v = {i: c for i, c in vec.items() if not c.is_zero()}
+    for col, row in reduced:
+        c = v.get(col)
+        if c is None:
+            continue
+        try:
+            f = c / row[col]
+        except NonUnitError:
+            return False
+        _subtract_multiple(v, f, row)
+    return not v
+
+
+def _subtract_multiple(row: dict, f, pivot_row: dict) -> None:
+    """row -= f * pivot_row, dropping the entries that cancel."""
+    for j, c in pivot_row.items():
+        cur = row.get(j)
+        if cur is None:
+            row[j] = -(f * c)  # nonzero: every base ring is a domain
+        else:
+            d = cur - f * c
+            if d.is_zero():
+                del row[j]
+            else:
+                row[j] = d
+
+
 def null_space(m: LinearMap) -> list[dict]:
-    """Kernel basis over a field, as sparse vectors."""
+    """Kernel basis over a field, as sparse vectors.
+
+    Each free column gets 1, and each pivot column minus the free column's
+    entry in that pivot's row of the reduced echelon form.
+    """
     if not m.ring.is_field:
         raise UnsupportedParametersError("null_space requires a field base ring")
-    n = m.source_dim
-    rows = []
-    for i in range(m.target_dim):
-        row = [m.entry(i, j) for j in range(n)]
-        if any(not v.is_zero() for v in row):
-            rows.append(row)
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((k for k in range(r, len(rows)) if not rows[k][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].invert()
-        rows[r] = [v * inv for v in rows[r]]
-        for k in range(len(rows)):
-            if k == r:
-                continue
-            f = rows[k][col]
-            if not f.is_zero():
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    pivot_set = set(pivots)
-    basis = []
+    pivots = row_reduce(m.transpose().cols)
+    pivot_cols = {col for col, _ in pivots}
     one = m.ring.one()
-    for free in range(n):
-        if free in pivot_set:
+    basis = []
+    for free in range(m.source_dim):
+        if free in pivot_cols:
             continue
         vec = {free: one}
-        for k, col in enumerate(pivots):
-            v = rows[k][free]
-            if not v.is_zero():
+        for col, row in pivots:
+            v = row.get(free)
+            if v is not None:
                 vec[col] = -v
         basis.append(vec)
     return basis

@@ -64,7 +64,7 @@ from .hopf import (
     specialize_hopf,
     verify_axioms,
 )
-from .rings import Fiber, PrimeField
+from .rings import Fiber, PrimeField, is_prime
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -109,14 +109,8 @@ class UsageError(Exception):
     """Bad invocation; rendered to stderr with exit code 2."""
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    return all(m % d for d in range(2, int(m**0.5) + 1))
-
-
 def _check_pipeline_prime(p: int, slow: bool) -> None:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise UsageError(f"p = {p} is not prime")
     if p > MAX_PIPELINE_PRIME:
         raise SizeGuardError(
@@ -141,7 +135,7 @@ def parse_test_algebra(text: str) -> MonomialQuotientAlgebra:
     if m is None:
         raise UsageError(f"cannot parse test algebra {text!r}; {_GRAMMAR_HINT}")
     q = int(m.group(1))
-    if not _is_prime(q):
+    if not is_prime(q):
         raise UsageError(f"test algebra characteristic {q} is not prime")
     field = PrimeField(q)
     if m.group(2) is None:

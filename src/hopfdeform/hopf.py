@@ -23,14 +23,15 @@ from .algebra import (
     MonomialQuotientAlgebra,
     _acc,
     algebra_hom,
+    in_span,
     invert_unit,
     null_space,
+    row_reduce,
     unit_algebra,
 )
 from .errors import (
     ContextMismatchError,
     DimensionMismatchError,
-    NonUnitError,
     NotAFieldError,
     NotAHopfIdealError,
     NotCocommutativeError,
@@ -277,16 +278,7 @@ def verify_axioms(h) -> AxiomReport:
     def record(name, offender, required=True):
         report.checks.append(AxiomCheck(name, offender is None, required, offender))
 
-    # commutativity of multiplication
-    offender = None
-    for i in range(r):
-        for j in range(i + 1, r):
-            if s.mult.cols[i * r + j] != s.mult.cols[j * r + i]:
-                offender = f"{labels[i]}, {labels[j]}"
-                break
-        if offender:
-            break
-    record("multiplication is commutative", offender)
+    record("multiplication is commutative", _noncommuting_pair(s))
 
     # comultiplication is an algebra map
     offender = None
@@ -379,20 +371,32 @@ def verify_axioms(h) -> AxiomReport:
             break
     record("antipode identities hold", offender)
 
-    # cocommutativity (reported, not required)
-    offender = None
-    for k in range(r):
-        u = s.comul.cols[k]
+    record("comultiplication is cocommutative", _noncocommuting_label(s), required=False)
+
+    return report
+
+
+def _noncommuting_pair(s: HopfAlgebra) -> str | None:
+    """Labels of the first basis pair whose two products differ, or None."""
+    r = s.rank
+    for i in range(r):
+        for j in range(i + 1, r):
+            if s.mult.cols[i * r + j] != s.mult.cols[j * r + i]:
+                return f"{s.labels[i]}, {s.labels[j]}"
+    return None
+
+
+def _noncocommuting_label(s: HopfAlgebra) -> str | None:
+    """Label of the first basis element whose coproduct is not flip-symmetric, or None."""
+    r = s.rank
+    for k, u in enumerate(s.comul.cols):
         flipped = {}
         for ij, c in u.items():
             i, j = divmod(ij, r)
             flipped[j * r + i] = c
         if flipped != u:
-            offender = labels[k]
-            break
-    record("comultiplication is cocommutative", offender, required=False)
-
-    return report
+            return s.labels[k]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +441,14 @@ def deformation_hopf(p: int, mutation: str | None = None) -> HopfPresentation:
     return hopf_presentation(A, [dx, dy], [R.zero(), R.zero()], [sx, sy])
 
 
-def _map_element(elem: AlgebraElement, target: MonomialQuotientAlgebra, fiber: Fiber):
+def _specialize(coeffs: dict, fiber: Fiber) -> dict:
+    """Push every coefficient along the fiber map, dropping the ones that vanish."""
     out = {}
-    for exps, c in elem.coeffs.items():
+    for key, c in coeffs.items():
         sc = specialize_scalar(c, fiber)
         if not sc.is_zero():
-            out[exps] = sc
-    return AlgebraElement(target, out)
+            out[key] = sc
+    return out
 
 
 def specialize_hopf(h: HopfPresentation, fiber: Fiber) -> HopfPresentation:
@@ -452,21 +457,15 @@ def specialize_hopf(h: HopfPresentation, fiber: Fiber) -> HopfPresentation:
     if not isinstance(A.ring, LocalRing):
         raise ContextMismatchError("specialization starts from the local base ring")
     new_ring = A.ring.fiber_ring(fiber)
-    rules = []
-    for rule in A.rules:
-        new_rule = {}
-        for exps, c in rule.items():
-            sc = specialize_scalar(c, fiber)
-            if not sc.is_zero():
-                new_rule[exps] = sc
-        rules.append(new_rule)
-    B = MonomialQuotientAlgebra(new_ring, A.gens, A.bounds, rules)
+    B = MonomialQuotientAlgebra(
+        new_ring, A.gens, A.bounds, [_specialize(rule, fiber) for rule in A.rules]
+    )
     sq = B.tensor(B)
     return hopf_presentation(
         B,
-        [_map_element(im, sq, fiber) for im in h.comul_images],
+        [AlgebraElement(sq, _specialize(im.coeffs, fiber)) for im in h.comul_images],
         [specialize_scalar(c, fiber) for c in h.counit_scalars],
-        [_map_element(im, B, fiber) for im in h.antipode_images],
+        [AlgebraElement(B, _specialize(im.coeffs, fiber)) for im in h.antipode_images],
     )
 
 
@@ -474,14 +473,7 @@ def specialize_linear_map(m: LinearMap, fiber: Fiber) -> LinearMap:
     ring = LocalRing(m.ring.p).fiber_ring(fiber) if isinstance(m.ring, LocalRing) else None
     if ring is None:
         raise ContextMismatchError("specialization starts from the local base ring")
-    cols = []
-    for col in m.cols:
-        new = {}
-        for i, c in col.items():
-            sc = specialize_scalar(c, fiber)
-            if not sc.is_zero():
-                new[i] = sc
-        cols.append(new)
+    cols = [_specialize(col, fiber) for col in m.cols]
     return LinearMap(ring, m.source_dim, m.target_dim, cols)
 
 
@@ -628,20 +620,12 @@ def cartier_dual(h) -> HopfAlgebra:
     """
     s = as_structure(h)
     r = s.rank
-    for i in range(r):
-        for j in range(i + 1, r):
-            if s.mult.cols[i * r + j] != s.mult.cols[j * r + i]:
-                raise NotCommutativeError(
-                    f"multiplication is not commutative at {s.labels[i]}, {s.labels[j]}"
-                )
-    for k in range(r):
-        u = s.comul.cols[k]
-        flipped = {}
-        for ij, c in u.items():
-            i, j = divmod(ij, r)
-            flipped[j * r + i] = c
-        if flipped != u:
-            raise NotCocommutativeError(f"comultiplication is not cocommutative at {s.labels[k]}")
+    pair = _noncommuting_pair(s)
+    if pair is not None:
+        raise NotCommutativeError(f"multiplication is not commutative at {pair}")
+    label = _noncocommuting_label(s)
+    if label is not None:
+        raise NotCocommutativeError(f"comultiplication is not cocommutative at {label}")
     labels = tuple(_dual_label(l) for l in s.labels)
     unit_map = s.counit.transpose()  # 1 -> r
     counit_cols = [
@@ -791,58 +775,6 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
 # Hopf ideal quotients
 
 
-def _t_val(elem):
-    return elem.t_valuation()
-
-
-def _echelon(cols: list[dict]) -> list[tuple[int, dict]]:
-    """Column echelon basis of a span, pivoting on minimal t-valuation.
-
-    Over a field all nonzero entries have valuation 0 and this is plain
-    Gaussian elimination; over the localized base ring the minimal-valuation
-    rule keeps every elimination multiplier inside the ring.
-    """
-    work = [dict(c) for c in cols if c]
-    pivots: list[tuple[int, dict]] = []
-    while work:
-        best = None
-        for ci, col in enumerate(work):
-            for row, val in col.items():
-                v = _t_val(val)
-                if best is None or v < best[0]:
-                    best = (v, ci, row)
-        _, ci, row = best
-        col = work.pop(ci)
-        pivot = col[row]
-        rest = []
-        for other in work:
-            c = other.get(row)
-            if c is not None:
-                f = c / pivot
-                for i, val in col.items():
-                    _acc(other, i, -(f * val))
-            if other:
-                rest.append(other)
-        work = rest
-        pivots.append((row, col))
-    return pivots
-
-
-def _member(pivots: list[tuple[int, dict]], vec: dict) -> bool:
-    v = {i: c for i, c in vec.items() if not c.is_zero()}
-    for row, col in pivots:
-        c = v.get(row)
-        if c is None:
-            continue
-        try:
-            f = c / col[row]
-        except NonUnitError:
-            return False
-        for i, val in col.items():
-            _acc(v, i, -(f * val))
-    return not v
-
-
 def hopf_quotient(h: HopfPresentation, ideal_gens: list[AlgebraElement]) -> HopfPresentation:
     """Quotient by the ideal generated by a subset of the algebra generators.
 
@@ -877,19 +809,19 @@ def hopf_quotient(h: HopfPresentation, ideal_gens: list[AlgebraElement]) -> Hopf
     for g in gens:
         if not h.counit_of(g).is_zero():
             raise NotAHopfIdealError(f"counit does not vanish on {g}")
-    pivots = _echelon(ideal_cols)
+    ideal = row_reduce(ideal_cols)
     for g in gens:
-        if not _member(pivots, h.antipode_of(g).vec()):
+        if not in_span(ideal, h.antipode_of(g).vec()):
             raise NotAHopfIdealError(f"antipode image of {g} leaves the ideal")
     r = A.rank
     side_cols = []
-    for _, col in pivots:
+    for _, row in ideal:
         for m in range(r):
-            side_cols.append(_outer(col, basis[m].vec(), r))
-            side_cols.append(_outer(basis[m].vec(), col, r))
-    side_pivots = _echelon(side_cols)
+            side_cols.append(_outer(row, basis[m].vec(), r))
+            side_cols.append(_outer(basis[m].vec(), row, r))
+    side = row_reduce(side_cols)
     for g in gens:
-        if not _member(side_pivots, h.comul_of(g).vec()):
+        if not in_span(side, h.comul_of(g).vec()):
             raise NotAHopfIdealError(
                 f"comultiplication of {g} leaves ideal(x)algebra + algebra(x)ideal"
             )
@@ -897,17 +829,9 @@ def hopf_quotient(h: HopfPresentation, ideal_gens: list[AlgebraElement]) -> Hopf
     # Freeness of the quotient module.  Over the local base ring the ideal's
     # rank may drop at t = 0; the two fiber ranks agree exactly when the
     # quotient is free.
-    generic_rank = len(pivots)
+    generic_rank = len(ideal)
     if isinstance(A.ring, LocalRing):
-        special_cols = []
-        for _, col in pivots:
-            new = {}
-            for i, c in col.items():
-                sc = specialize_scalar(c, Fiber.SPECIAL)
-                if not sc.is_zero():
-                    new[i] = sc
-            special_cols.append(new)
-        special_rank = len(_echelon(special_cols))
+        special_rank = len(row_reduce([_specialize(row, Fiber.SPECIAL) for _, row in ideal]))
         if special_rank != generic_rank:
             raise NotFreeQuotientError(
                 "quotient module is not free: ideal has rank "

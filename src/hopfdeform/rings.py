@@ -9,6 +9,7 @@ that the reduced denominator not vanish at t = 0.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,6 +25,10 @@ from .errors import (
 MAX_T_DEGREE = 512
 
 
+def is_prime(m: int) -> bool:
+    return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
 @dataclass(frozen=True)
 class Prime:
     """A validated small prime.  Desk-scale computations only: p <= 7."""
@@ -34,7 +39,7 @@ class Prime:
         p = self.p
         if not isinstance(p, int) or p < 2:
             raise UnsupportedParametersError(f"p must be an integer >= 2, got {p!r}")
-        if any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise UnsupportedParametersError(f"p = {p} is not prime")
         if p > 7:
             raise UnsupportedParametersError(f"p = {p} exceeds the supported bound p <= 7")

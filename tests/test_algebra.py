@@ -1,5 +1,6 @@
 """Monomial quotient algebras: normal forms, tensor products, homs, linear maps."""
 
+import itertools
 import random
 
 import pytest
@@ -8,9 +9,11 @@ from hopfdeform.algebra import (
     LinearMap,
     MonomialQuotientAlgebra,
     algebra_hom,
+    in_span,
     invert_unit,
     multiplication_matrix,
     null_space,
+    row_reduce,
     tensor_apply,
     unit_algebra,
 )
@@ -22,7 +25,13 @@ from hopfdeform.errors import (
     RankGuardError,
     RelationViolationError,
 )
-from hopfdeform.rings import LocalRing, LocalRingElement, PrimeField, UnivariatePoly
+from hopfdeform.rings import (
+    FunctionField,
+    LocalRing,
+    LocalRingElement,
+    PrimeField,
+    UnivariatePoly,
+)
 
 
 def deformation_algebra(p):
@@ -307,6 +316,106 @@ class TestLinearMaps:
         y = A.gen(1)
         m = multiplication_matrix(y)
         assert A.from_vec(m.apply(y.vec())) == y * y
+
+
+
+class TestInverseAndKernel:
+    """What the shared elimination kernel owes LinearMap.inverse and null_space."""
+
+    @pytest.mark.parametrize("ring,cols,column", [
+        # det = t: invertible over F_3(t) but not over F_3[t]_(t), and the
+        # second column is the first one that depends on the earlier ones mod t
+        ("local", lambda R, t: [{0: R.one()}, {0: R.one(), 1: t}, {2: R.one()}], 1),
+        ("local", lambda R, t: [{0: R.one()}, {1: R.one()}, {0: R.one(), 1: R.one(), 2: t}], 2),
+        ("field", lambda R, t: [{0: R.one(), 1: R.one()}, {0: R.from_int(2), 1: R.from_int(2)},
+                                {2: R.one()}], 1),
+        ("field", lambda R, t: [{0: R.one()}, {1: R.one()}, {0: R.one(), 1: R.from_int(2)}], 2),
+    ], ids=["local-column-1", "local-column-2", "field-column-1", "field-column-2"])
+    def test_not_invertible_names_the_column(self, ring, cols, column):
+        R = LocalRing(3) if ring == "local" else PrimeField(3)
+        t = R.t() if ring == "local" else None
+        m = LinearMap(R, 3, 3, cols(R, t))
+        with pytest.raises(NotInvertibleError) as exc:
+            m.inverse()
+        assert str(exc.value) == (
+            f"no unit pivot in column {column}; the map is not invertible over {R.tag}"
+        )
+
+    def test_inverse_when_the_first_unit_is_not_the_least_valuation(self):
+        # Over F_3[t]_(t) column 0 meets the non-unit t before the unit 1.
+        R = LocalRing(3)
+        t = R.t()
+        m = LinearMap(R, 2, 2, [{0: t, 1: R.one()}, {0: R.one()}])
+        expected = LinearMap(R, 2, 2, [{1: R.one()}, {0: R.one(), 1: -t}])
+        assert m.inverse() == expected
+        # Over F_3(t) column 0 meets the unit t (valuation 1) before 1/t
+        # (valuation -1).
+        K = FunctionField(3)
+        s = K.t()
+        s_inv = K.one() / s
+        m = LinearMap(K, 2, 2, [{0: s, 1: s_inv}, {0: K.one(), 1: K.one()}])
+        inv = m.inverse()
+        assert inv.compose(m) == LinearMap.identity(K, 2)
+        assert m.compose(inv) == LinearMap.identity(K, 2)
+        det = s - s_inv
+        assert inv == LinearMap(K, 2, 2, [{0: K.one() / det, 1: -s_inv / det},
+                                          {0: -K.one() / det, 1: s / det}])
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_null_space_dimension_matches_brute_force(self, p):
+        rng = random.Random(100 + p)
+        F = PrimeField(p)
+        for _ in range(25):
+            n, m_dim = rng.randrange(1, 5), rng.randrange(1, 4)
+            cols = [{i: F.from_int(rng.randrange(p)) for i in range(m_dim)} for _ in range(n)]
+            m = LinearMap(F, n, m_dim, cols)
+            basis = null_space(m)
+            for vec in basis:
+                assert m.apply(vec) == {}
+            kernel_size = 0
+            for values in itertools.product(range(p), repeat=n):
+                vec = {i: F.from_int(v) for i, v in enumerate(values) if v}
+                if not m.apply(vec):
+                    kernel_size += 1
+            assert kernel_size == p ** len(basis)
+
+
+class TestRowReduce:
+    def test_span_over_the_local_ring_respects_valuation(self):
+        R = LocalRing(3)
+        t = R.t()
+        reduced = row_reduce([{0: t}])
+        assert in_span(reduced, {0: R.t(2)})
+        assert not in_span(reduced, {0: R.one()})
+
+    def test_in_span_is_false_when_a_quotient_leaves_the_ring(self):
+        R = LocalRing(3)
+        t = R.t()
+        one = R.one()
+        reduced = row_reduce([{0: one, 1: one}, {1: t}])
+        # e0 + (1 + t) e1 = row 0 + row 1
+        assert in_span(reduced, {0: one, 1: one + t})
+        # e0 + 2 e1 would need (1/t) * row 1
+        assert not in_span(reduced, {0: one, 1: R.from_int(2)})
+
+    def test_in_span_is_false_when_something_is_left_over(self):
+        F = PrimeField(3)
+        reduced = row_reduce([{0: F.one(), 1: F.one()}])
+        assert in_span(reduced, {0: F.from_int(2), 1: F.from_int(2)})
+        # e0 clears column 0 but leaves -e1, and e2 meets no pivot column
+        assert not in_span(reduced, {0: F.one()})
+        assert not in_span(reduced, {2: F.one()})
+
+    def test_reduced_echelon_form_over_a_field(self):
+        F = PrimeField(5)
+        one = F.one()
+        rows = [{1: F.from_int(2), 2: one}, {0: F.from_int(3), 1: one}, {0: one, 2: F.from_int(4)}]
+        reduced = row_reduce(rows)
+        assert [col for col, _ in reduced] == [0, 1]
+        for col, row in reduced:
+            assert row[col] == one
+            assert all(other_col not in row for other_col, _ in reduced if other_col != col)
+        assert in_span(reduced, rows[2])
 
 
 class TestUnitAlgebra:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -53,8 +54,9 @@ class TestVerify:
         assert "not prime" in capsys.readouterr().err
 
     def test_large_prime_is_guard(self, capsys):
-        assert main(["verify", "--p", "7"]) == 3
-        assert "p <= 5" in capsys.readouterr().err
+        for p in ("7", "11"):
+            assert main(["verify", "--p", p]) == 3
+            assert "p <= 5" in capsys.readouterr().err
 
     def test_p5_needs_slow_flag(self, capsys):
         assert main(["verify", "--p", "5"]) == 2
@@ -119,6 +121,12 @@ class TestQuotient:
         code, payload = run_json(capsys, ["quotient", "--p", "3", "--kill", "x"])
         assert code == 0
         assert payload["rank"] == 3
+
+    def test_kill_x_at_p5(self, capsys):
+        code, payload = run_json(capsys, ["quotient", "--p", "5", "--kill", "x", "--slow"])
+        assert code == 0
+        assert payload["rank"] == 5
+        assert payload["presentation"]["comultiplication"]["y"] == "1⊗y + y⊗1 + t*y⊗y"
 
     def test_kill_y_is_not_free(self, capsys):
         code, payload = run_json(capsys, ["quotient", "--p", "3", "--kill", "y"])
@@ -346,3 +354,45 @@ class TestPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "all 9 steps passed" in proc.stdout
+
+
+# Exit code and sha256 of the `--format json` stdout.  The digests were taken
+# from the code before LinearMap.inverse, null_space and hopf_quotient shared
+# one elimination routine; that routine must not change a byte of output.
+PINNED_JSON = [
+    (["verify", "--p", "2"], 0,
+     "2baedbd63efebca9212ff779d3750fb1533f2822fffd2f312ed6c7a1d54cf8b2"),
+    (["verify", "--p", "3"], 0,
+     "fade76e314074e2d14dfed173fa22b1994579ab7ecfad5c9f2ff6f0552277911"),
+    (["verify", "--p", "2", "--mutate", "drop-comul-t-term"], 1,
+     "0d591479165ec934b51c4349dd1970c9ccafd5968b7c6625eb85a2e106e690f0"),
+    (["verify", "--p", "2", "--mutate", "drop-comul-x-term"], 1,
+     "87d3aa86a8f8808c6b189e9da703604e660696413f4ca18d6262593d2282ca2f"),
+    (["verify", "--p", "2", "--mutate", "corrupt-antipode"], 1,
+     "28326107be6f406642df69e4abf1dd859b9537b2de3e4428b4f5decc1e1db703"),
+    (["verify", "--p", "3", "--mutate", "drop-comul-t-term"], 1,
+     "f090e79a772d0f5cb90dce3b2281bda4340d2f7d242fd538cdfdf2be975ced64"),
+    (["verify", "--p", "3", "--mutate", "drop-comul-x-term"], 1,
+     "65f79936dece69828587c233b8bd3cff3582af2e99721ef11888998844ba0a13"),
+    (["verify", "--p", "3", "--mutate", "corrupt-antipode"], 1,
+     "a28690d862769c22dfdde7af209f9b76b30fd4b82338af73dfe2f37a72ab994a"),
+    (["quotient", "--p", "3", "--kill", "x"], 0,
+     "13862e2a8936da25257fd8b8d0dd5270117cc5dc4f4a746e92230dbdb59bfce2"),
+    (["quotient", "--p", "3", "--kill", "y"], 1,
+     "7c2e4763472aae5b0ea1508de04e0335ad85138bd0cbea32533fbe220e4bcd51"),
+    (["quotient", "--p", "2", "--kill", "x,y"], 0,
+     "a47341ca27fc4880079a8be5265ce2b47c07f98e509236846a5449599cc403a7"),
+    (["dual", "--p", "3", "--fiber", "generic", "--power", "2", "--name", "mu"], 0,
+     "ae70abfb22500a12e2a9094b2e9ba1238d6d1073deadaa372ce70119e3ef368f"),
+    (["dual", "--p", "3", "--fiber", "generic", "--power", "2", "--name", "constant_cyclic"], 0,
+     "a4de9f8ceba8ee4dc9d48fef798cfffb042b3ef62a42d40baa5a414186a95ebb"),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv,code,digest", PINNED_JSON,
+                             ids=[" ".join(argv) for argv, _, _ in PINNED_JSON])
+    def test_json_stdout_digest(self, capsys, argv, code, digest):
+        assert main(["--format", "json"] + argv) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

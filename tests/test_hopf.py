@@ -359,6 +359,29 @@ class TestCartierDuality:
         with pytest.raises(NotCocommutativeError):
             cartier_dual(bad2)
 
+    def test_dual_errors_and_axiom_report_name_the_same_offender(self):
+        F = PrimeField(2)
+        one = F.one()
+        id2 = LinearMap.identity(F, 2)
+        counit = LinearMap(F, 2, 1, [{0: one}, {}])
+        comul = LinearMap(F, 2, 4, [{0: one}, {1: one}])
+        asym_mult = LinearMap(F, 4, 2, [{0: one}, {1: one}, {}, {0: one}])
+        bad = HopfAlgebra(F, ("a", "b"), asym_mult, {0: one}, comul, counit, id2)
+        with pytest.raises(NotCommutativeError) as exc:
+            cartier_dual(bad)
+        assert str(exc.value) == "multiplication is not commutative at a, b"
+        checks = {c.name: c for c in verify_axioms(bad).checks}
+        assert checks["multiplication is commutative"].detail == "a, b"
+        sym_mult = LinearMap(F, 4, 2, [{0: one}, {1: one}, {1: one}, {}])
+        bad2 = HopfAlgebra(F, ("a", "b"), sym_mult, {0: one}, comul, counit, id2)
+        with pytest.raises(NotCocommutativeError) as exc:
+            cartier_dual(bad2)
+        assert str(exc.value) == "comultiplication is not cocommutative at b"
+        checks = {c.name: c for c in verify_axioms(bad2).checks}
+        assert checks["multiplication is commutative"].passed
+        assert checks["comultiplication is cocommutative"].detail == "b"
+        assert not checks["comultiplication is cocommutative"].required
+
 
 class TestFiberIdentifications:
     @pytest.mark.parametrize("p", PRIMES)

@@ -22,6 +22,7 @@ from hopfdeform.rings import (
     PrimeField,
     RationalFunction,
     UnivariatePoly,
+    is_prime,
     poly_gcd,
     specialize_scalar,
 )
@@ -60,6 +61,9 @@ class TestPrime:
         for bad in (0, 1, 4, 6, 9, 11):
             with pytest.raises(UnsupportedParametersError):
                 Prime(bad)
+
+    def test_is_prime(self):
+        assert [m for m in range(-2, 30) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 class TestFpElement:
