@@ -28,11 +28,9 @@ from .action import (
 from .algebra import LinearMap, MonomialQuotientAlgebra
 from .cohomology import (
     JumpQuery,
-    dim_classifying,
     dimension_table,
     jump_certificate,
     minimal_n_for_jump,
-    stabilized_bundle_dim,
     verify_binomial_vs_kunneth,
 )
 from .errors import (
@@ -473,12 +471,8 @@ def run_jump(args):
             f"--degree {args.degree} exceeds the bound {MAX_JUMP_DEGREE}")
 
     n = minimal_n_for_jump(JumpQuery(args.gap, args.degree))
-    special = dim_classifying(n, args.degree, Fiber.SPECIAL)
-    generic = dim_classifying(n, args.degree, Fiber.GENERIC)
-    bundle = args.bundle_dim
-    if bundle is None:
-        bundle = stabilized_bundle_dim(args.degree)
-    cert = jump_certificate(n, args.degree, bundle)
+    cert = jump_certificate(n, args.degree, args.bundle_dim)
+    special, generic = cert.terms[0].special, cert.terms[0].generic
 
     ok = special >= generic + args.gap and cert.ok and cert.jump >= args.gap
     payload = {
@@ -486,7 +480,7 @@ def run_jump(args):
         "command": "jump",
         "gap": args.gap,
         "degree": args.degree,
-        "bundle_dim": bundle,
+        "bundle_dim": cert.bundle_dim,
         "stabilized": args.bundle_dim is None,
         "minimal_n": n,
         "special_dim": special,
@@ -500,7 +494,7 @@ def run_jump(args):
         f"requested gap {args.gap} in degree {args.degree}: minimal n = {n}",
         f"  special dimension {special} >= {generic} + {args.gap} = "
         f"generic + gap: {'holds' if special >= generic + args.gap else 'FAILS'}",
-        f"  bundle dimension {bundle}"
+        f"  bundle dimension {cert.bundle_dim}"
         + (" (stabilized)" if args.bundle_dim is None else ""),
         f"  fiber jump after the even-shift sum: {cert.special_total} - "
         f"{cert.generic_total} = {cert.jump} >= {args.gap}: "

@@ -10,6 +10,7 @@ projective-bundle sum and the minimal-n jump solver on top.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -78,9 +79,9 @@ def series_alpha_p(max_degree: int) -> PoincareSeries:
 
 def kunneth(s1: PoincareSeries, s2: PoincareSeries) -> PoincareSeries:
     """Cauchy convolution, truncated at the smaller of the two bounds."""
-    bound = min(s1.max_degree, s2.max_degree)
+    a, b = s1.coefficients, s2.coefficients
     return PoincareSeries(
-        sum(s1[j] * s2[i - j] for j in range(i + 1)) for i in range(bound + 1))
+        sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(min(len(a), len(b))))
 
 
 def kunneth_power(series: PoincareSeries, factors: int) -> PoincareSeries:
@@ -161,17 +162,19 @@ class JumpQuery:
 def minimal_n_for_jump(query: JumpQuery) -> int:
     """Least n with special dimension >= generic dimension + gap in the query degree.
 
-    Scans upward from n = 1.  Growth of the excess in n is checked, not assumed:
-    the scan demands that n + 1 also succeeds before returning.
+    The excess C(2n+i-1, i) - C(n+i-1, i) counts the degree-i monomials in 2n
+    variables that involve at least one of the last n.  It grows strictly with
+    n, and it is at least n: x_1^(i-1) times each of those n variables.  So the
+    answer lies in 1..gap and bisection finds it; the assert re-checks that it
+    is the least.
     """
     def excess(n: int) -> int:
         return (dim_classifying(n, query.degree, Fiber.SPECIAL)
                 - dim_classifying(n, query.degree, Fiber.GENERIC))
 
-    n = 1
-    while excess(n) < query.gap:
-        n += 1
-    assert excess(n + 1) >= query.gap, "dimension excess shrank past the solution"
+    n = 1 + bisect.bisect_left(range(1, query.gap + 1), query.gap, key=excess)
+    assert (excess(n - 1) if n > 1 else 0) < query.gap <= excess(n), \
+        "dimension excess is not monotone in n"
     return n
 
 
@@ -180,16 +183,7 @@ def fiber_jump(n: int, degree: int, bundle_dim: int | None = None) -> int:
 
     bundle_dim defaults to the stabilized value floor(degree/2).
     """
-    if n < 1:
-        raise UnsupportedParametersError("need at least one product factor")
-    if degree < 0:
-        raise UnsupportedParametersError("cohomological degree must be >= 0")
-    if bundle_dim is None:
-        bundle_dim = stabilized_bundle_dim(degree)
-    special = classifying_series(n, Fiber.SPECIAL, degree)
-    generic = classifying_series(n, Fiber.GENERIC, degree)
-    return (projective_bundle_dim(special, bundle_dim, degree)
-            - projective_bundle_dim(generic, bundle_dim, degree))
+    return jump_certificate(n, degree, bundle_dim).jump
 
 
 @dataclass(frozen=True)
@@ -315,24 +309,22 @@ class ConvolutionReport:
 
 
 def verify_binomial_vs_kunneth(n: int, max_degree: int) -> ConvolutionReport:
-    """Cross-check dim_classifying against repeated convolution of all-ones.
+    """Cross-check dim_classifying against convolution of all-ones series.
 
-    The convolution side never evaluates a binomial: it convolves the
-    single-factor series n times for the generic fiber and 2n times for the
-    special one, so the two columns of the report are independent.
+    The convolution side never evaluates a binomial.  The generic column is the
+    n-fold Kunneth power of the single-factor series.  The special fiber has 2n
+    factors, so its column is the Kunneth square of the generic one.
     """
     if n < 1:
         raise UnsupportedParametersError("need at least one product factor")
     if max_degree < 0:
         raise UnsupportedParametersError("truncation degree must be >= 0")
-    single = _all_ones(max_degree)
-    entries = []
-    for fiber, factors in ((Fiber.GENERIC, n), (Fiber.SPECIAL, 2 * n)):
-        power = kunneth_power(single, factors)
-        for i in range(max_degree + 1):
-            entries.append(ConvolutionCheck(
-                fiber, i, power[i], dim_classifying(n, i, fiber)))
-    return ConvolutionReport(n, max_degree, tuple(entries))
+    generic = kunneth_power(_all_ones(max_degree), n)
+    special = kunneth(generic, generic)
+    return ConvolutionReport(n, max_degree, tuple(
+        ConvolutionCheck(fiber, i, dim, dim_classifying(n, i, fiber))
+        for fiber, power in ((Fiber.GENERIC, generic), (Fiber.SPECIAL, special))
+        for i, dim in enumerate(power.coefficients)))
 
 
 def dimension_table(max_n: int, max_degree: int) -> list[dict]:

@@ -386,6 +386,16 @@ PINNED_JSON = [
      "ae70abfb22500a12e2a9094b2e9ba1238d6d1073deadaa372ce70119e3ef368f"),
     (["dual", "--p", "3", "--fiber", "generic", "--power", "2", "--name", "constant_cyclic"], 0,
      "a4de9f8ceba8ee4dc9d48fef798cfffb042b3ef62a42d40baa5a414186a95ebb"),
+    (["cohomology-table", "--max-n", "20", "--max-degree", "120"], 0,
+     "c2a6ab2b3d7c2851f594b440bcea05eb74c53daee9154aae4201fbc022fb28ba"),
+    (["cohomology-table", "--fiber", "special"], 0,
+     "82c05ac9ebba331ffe704c3e77b26f1b38a089fcd6ed1d64623778b8725976ef"),
+    (["jump", "--gap", "1000000", "--degree", "1"], 0,
+     "490d3016ca8d455bfaefd7e54b58b9d6ab1658325cfb1ecce46b22897c701ddb"),
+    (["jump", "--gap", "999", "--degree", "7", "--bundle-dim", "2"], 0,
+     "7537f1fd3c055ccd9eb415a3a19ab62693227a064d7c6a5bb26775d8d01d0da0"),
+    (["jump", "--gap", "5", "--degree", "4", "--bundle-dim", "0"], 0,
+     "dcbfa1b5ff53d1c021653a943b72444281cb035eae63445e0aac43bc17a427b8"),
 ]
 
 

@@ -44,6 +44,24 @@ def random_series(rng, max_degree, cap=9):
     return PoincareSeries(rng.randrange(cap + 1) for _ in range(max_degree + 1))
 
 
+def jump_excess(n, degree):
+    return (dim_classifying(n, degree, Fiber.SPECIAL)
+            - dim_classifying(n, degree, Fiber.GENERIC))
+
+
+def scan_minimal_n(query):
+    """Oracle for the bisecting solver: scan n = 1, 2, ... until the gap is met."""
+    n = 1
+    while jump_excess(n, query.degree) < query.gap:
+        n += 1
+    return n
+
+
+# (degree, gap) pairs at and just past every excess value for n <= 60
+SOLVER_GRID = [(i, jump_excess(n, i) + step)
+               for i in range(2, 13) for n in range(1, 61) for step in (0, 1)]
+
+
 class TestSeries:
     def test_all_ones_entries(self):
         for make in (series_constant_cyclic, series_alpha_p):
@@ -204,16 +222,26 @@ class TestJumpSolver:
             assert minimal_n_for_jump(JumpQuery(e, 1)) == e
 
     def test_minimality_on_grid(self):
-        def excess(n, i):
-            return (dim_classifying(n, i, Fiber.SPECIAL)
-                    - dim_classifying(n, i, Fiber.GENERIC))
-
         for e in range(1, 51):
             for i in range(1, 11):
                 n = minimal_n_for_jump(JumpQuery(e, i))
-                assert excess(n, i) >= e
+                assert jump_excess(n, i) >= e
                 if n > 1:
-                    assert excess(n - 1, i) < e
+                    assert jump_excess(n - 1, i) < e
+
+    def test_bisection_matches_upward_scan_on_grid(self):
+        for degree, gap in SOLVER_GRID:
+            query = JumpQuery(gap, degree)
+            assert minimal_n_for_jump(query) == scan_minimal_n(query), (degree, gap)
+
+    @pytest.mark.parametrize("degree,gap", [
+        (1, 10**6), (500, 1), (500, 10**6), (1000, 1), (1000, 10**6)])
+    def test_bisection_matches_upward_scan_at_the_guards(self, degree, gap):
+        query = JumpQuery(gap, degree)
+        n = minimal_n_for_jump(query)
+        assert n == scan_minimal_n(query)
+        if degree == 1:
+            assert n == gap
 
     def test_nondecreasing_in_gap(self):
         for i in range(1, 11):
@@ -243,6 +271,16 @@ class TestFiberJump:
             for i in range(7):
                 assert fiber_jump(n, i) == fiber_jump(n, i, stabilized_bundle_dim(i))
                 assert fiber_jump(n, i) == fiber_jump(n, i, 50)
+
+    def test_matches_the_bundle_sums_of_both_series(self):
+        for n in (1, 2, 5):
+            for i in range(9):
+                special = classifying_series(n, Fiber.SPECIAL, i)
+                generic = classifying_series(n, Fiber.GENERIC, i)
+                for bundle in (0, 1, 2, 3, 10):
+                    assert fiber_jump(n, i, bundle) == (
+                        projective_bundle_dim(special, bundle, i)
+                        - projective_bundle_dim(generic, bundle, i))
 
     def test_certificate_contents(self):
         cert = jump_certificate(2, 2, 1)
@@ -296,6 +334,14 @@ class TestConvolutionCrosscheck:
         special = [e for e in report.entries if e.fiber is Fiber.SPECIAL]
         for entry in special[:9]:
             assert entry.convolution == weak_compositions(entry.degree, 8)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_special_column_is_the_2n_fold_power(self, n):
+        # the special column is built as the Kunneth square of the generic one;
+        # the 2n-fold power of a single factor is the direct construction
+        special = [e.convolution for e in verify_binomial_vs_kunneth(n, 30).entries
+                   if e.fiber is Fiber.SPECIAL]
+        assert special == list(kunneth_power(series_alpha_p(30), 2 * n).coefficients)
 
     def test_serialization(self):
         payload = verify_binomial_vs_kunneth(2, 4).to_dict()
