@@ -89,9 +89,6 @@ class RegularRepElement:
     def coefficient(self, exps) -> AlgebraElement:
         return self.coefficients.get(tuple(exps), self.coefficient_algebra.zero())
 
-    def leading_coefficient(self) -> AlgebraElement:
-        return self.coefficient((self.p - 1,) * self.n)
-
     def is_zero(self) -> bool:
         return not self.coefficients
 

@@ -56,7 +56,8 @@ class HopfAlgebra:
     Tensor indices follow the left-most-significant convention i*rank + j.
     """
 
-    __slots__ = ("ring", "labels", "mult", "unit", "comul", "counit", "antipode")
+    __slots__ = ("ring", "labels", "mult", "unit", "comul", "counit", "antipode",
+                 "_by_left", "_by_right")
 
     def __init__(self, ring, labels, mult, unit, comul, counit, antipode):
         r = len(labels)
@@ -75,6 +76,15 @@ class HopfAlgebra:
         self.comul = comul
         self.counit = counit
         self.antipode = antipode
+        # The nonempty product columns of each basis element, as the left
+        # factor (_by_left[i][j]) and as the right one (_by_right[j][i]).
+        self._by_left = [{} for _ in range(r)]
+        self._by_right = [{} for _ in range(r)]
+        for ij, col in enumerate(mult.cols):
+            if col:
+                i, j = divmod(ij, r)
+                self._by_left[i][j] = col
+                self._by_right[j][i] = col
 
     @property
     def rank(self) -> int:
@@ -85,21 +95,11 @@ class HopfAlgebra:
 
     def vec_mult(self, u: dict, v: dict) -> dict:
         out: dict = {}
-        r = self.rank
         for i, a in u.items():
-            for j, b in v.items():
-                col = self.mult.cols[i * r + j]
-                if not col:
-                    continue
+            for b, col in _nonempty_products(self._by_left[i], v):
                 c = a * b
                 for k, m in col.items():
                     _acc(out, k, c * m)
-        return out
-
-    def vec_pow(self, u: dict, n: int) -> dict:
-        out = dict(self.unit)
-        for _ in range(n):
-            out = self.vec_mult(out, u)
         return out
 
     def counit_of(self, u: dict):
@@ -112,18 +112,26 @@ class HopfAlgebra:
         """Product in H(x)H of two sparse vectors over the tensor basis.
 
         A pair whose structure column is empty on either side contributes
-        nothing, so its scalar product is never formed.
+        nothing, so its scalar product is never formed.  For each term
+        e_i(x)e_j of u, the loop runs over whichever is smaller: the terms
+        of v, or the pairs of nonempty product columns of e_i and e_j.
         """
         r = self.rank
         out: dict = {}
         for ij, a in u.items():
             i, j = divmod(ij, r)
-            for kl, b in v.items():
-                k, l = divmod(kl, r)
-                w1 = self.mult.cols[i * r + k]
-                w2 = self.mult.cols[j * r + l]
-                if not (w1 and w2):
-                    continue
+            row1, row2 = self._by_left[i], self._by_left[j]
+            if len(v) <= len(row1) * len(row2):
+                terms = []
+                for kl, b in v.items():
+                    k, l = divmod(kl, r)
+                    w1, w2 = row1.get(k), row2.get(l)
+                    if w1 and w2:
+                        terms.append((b, w1, w2))
+            else:
+                terms = [(b, w1, w2) for k, w1 in row1.items() for l, w2 in row2.items()
+                         if (b := v.get(k * r + l)) is not None]
+            for b, w1, w2 in terms:
                 c = a * b
                 for t1, c1 in w1.items():
                     base = t1 * r
@@ -134,6 +142,18 @@ class HopfAlgebra:
 
     def __repr__(self):
         return f"<HopfAlgebra rank {self.rank} over {self.ring.tag}>"
+
+
+def _nonempty_products(row: dict, vec: dict) -> list:
+    """(vec[j], row[j]) for every index j held by both.
+
+    row maps indices to nonempty product columns.  The loop runs over the
+    smaller of the two, so a sparse operand costs its own size and a dense
+    one the size of the row.
+    """
+    if len(vec) <= len(row):
+        return [(c, row[j]) for j, c in vec.items() if j in row]
+    return [(vec[j], col) for j, col in row.items() if j in vec]
 
 
 def _outer(u: dict, v: dict, r: int) -> dict:
@@ -351,17 +371,12 @@ def verify_axioms(h) -> AxiomReport:
         right: dict = {}
         for ij, c in s.comul.cols[k].items():
             i, j = divmod(ij, r)
-            for si, sc in s.antipode.cols[i].items():
-                col = s.mult.cols[si * r + j]
-                if not col:
-                    continue
+            # S(e_i)*e_j and e_i*S(e_j), over the nonempty product columns only
+            for sc, col in _nonempty_products(s._by_right[j], s.antipode.cols[i]):
                 csc = c * sc
                 for m, mc in col.items():
                     _acc(left, m, csc * mc)
-            for sj, sc in s.antipode.cols[j].items():
-                col = s.mult.cols[i * r + sj]
-                if not col:
-                    continue
+            for sc, col in _nonempty_products(s._by_left[i], s.antipode.cols[j]):
                 csc = c * sc
                 for m, mc in col.items():
                     _acc(right, m, csc * mc)

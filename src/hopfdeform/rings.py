@@ -4,6 +4,14 @@ All three rings are represented exactly: prime-field residues as ints,
 the two fraction rings as reduced fractions of dense F_p[t] polynomials
 with monic denominator.  Membership in the localization is the condition
 that the reduced denominator not vanish at t = 0.
+
+Every polynomial the arithmetic returns is canonical: coefficients in
+range(p), nonzero top coefficient.  Results are built from canonical
+operands, so they skip the full reduction that outside input gets.  The
+denominators met in practice are powers of t (the generic fiber inverts
+t), and for those reduction needs no Euclid: the monic gcd of c*t^k and f
+is t^min(k, v), with v the t-valuation of f, and dividing by c*t^k is a
+shift.
 """
 
 from __future__ import annotations
@@ -193,46 +201,61 @@ class UnivariatePoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return UnivariatePoly(out, self.p)
+        p = self.p
+        out = [(x + y) % p for x, y in zip(a, b)]
+        if len(a) == len(b):
+            _strip(out)
+        else:
+            out += a[len(b):]
+        return _canonical(tuple(out), p)
 
     def __neg__(self):
-        return UnivariatePoly([-c for c in self.coeffs], self.p)
+        p = self.p
+        return _canonical(tuple(-c % p for c in self.coeffs), p)
 
     def __sub__(self, other):
         return self + (-self._check(other))
 
     def __mul__(self, other):
         other = self._check(other)
-        if self.is_zero() or other.is_zero():
-            return UnivariatePoly.zero(self.p)
-        deg = self.degree + other.degree
+        a, b = self.coeffs, other.coeffs
+        p = self.p
+        if not (a and b):
+            return _canonical((), p)
+        deg = len(a) + len(b) - 2
         if deg > MAX_T_DEGREE:
             raise DegreeOverflowError(f"t-degree {deg} exceeds the bound {MAX_T_DEGREE}")
-        a, b = self.coeffs, other.coeffs
+        # p is prime, so the product of the two nonzero top coefficients is
+        # nonzero mod p: reducing each coefficient is all that is left to do.
         if len(a) == 1 or len(b) == 1:
             # One operand is a constant: scale the other in one pass.
-            c, rest = (a[0], b) if len(a) == 1 else (b[0], a)
-            return UnivariatePoly([c * x for x in rest], self.p)
+            c, rest, f = (a[0], b, other) if len(a) == 1 else (b[0], a, self)
+            if c == 1:
+                return f
+            return _canonical(tuple(c * x % p for x in rest), p)
         out = [0] * (deg + 1)
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-        return UnivariatePoly(out, self.p)
+        return _canonical(tuple(x % p for x in out), p)
 
     def divmod(self, other) -> tuple["UnivariatePoly", "UnivariatePoly"]:
         other = self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         p = self.p
-        rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        inv_lead = pow(other.leading(), p - 2, p)
-        db = other.degree
+        a, b = self.coeffs, other.coeffs
+        db = len(b) - 1
+        inv_lead = pow(b[-1], p - 2, p)
+        if b.count(0) == db:
+            # other = c*t^db: the quotient is a shift, the remainder the low terms.
+            high = a[db:]
+            quo = high if inv_lead == 1 else tuple(inv_lead * c % p for c in high)
+            return _canonical(quo, p), _canonical(tuple(_strip(list(a[:db]))), p)
+        rem = list(a)
+        quo = [0] * max(len(rem) - len(b) + 1, 0)
         while len(rem) - 1 >= db and any(rem):
             while rem and rem[-1] == 0:
                 rem.pop()
@@ -241,15 +264,18 @@ class UnivariatePoly:
             shift = len(rem) - 1 - db
             factor = (rem[-1] * inv_lead) % p
             quo[shift] = factor
-            for k, c in enumerate(other.coeffs):
+            for k, c in enumerate(b):
                 rem[shift + k] = (rem[shift + k] - factor * c) % p
         return UnivariatePoly(quo, p), UnivariatePoly(rem, p)
 
     def monic(self) -> "UnivariatePoly":
         if self.is_zero():
             return self
-        inv = pow(self.leading(), self.p - 2, self.p)
-        return UnivariatePoly([c * inv for c in self.coeffs], self.p)
+        p = self.p
+        inv = pow(self.leading(), p - 2, p)
+        if inv == 1:
+            return self
+        return _canonical(tuple(c * inv % p for c in self.coeffs), p)
 
     def __eq__(self, other):
         return (
@@ -283,20 +309,52 @@ class UnivariatePoly:
 _ONES: dict[int, UnivariatePoly] = {}
 
 
+def _canonical(coeffs: tuple, p: int) -> UnivariatePoly:
+    """A polynomial from coefficients that are already canonical: each in
+    range(p), the last nonzero.  Skips the reduction done by __init__."""
+    f = object.__new__(UnivariatePoly)
+    f.coeffs = coeffs
+    f.p = p
+    return f
+
+
+def _strip(cs: list) -> list:
+    """Drop trailing zeros in place."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
 def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
+    """Monic gcd; zero only when both arguments are zero.
+
+    When either argument is a monomial c*t^k, its monic divisors are the
+    powers of t, so the gcd is t^min(k, v) with v the t-valuation of the
+    other argument (infinite for zero).  Otherwise Euclid.
+    """
+    a._check(b)
+    for m, f in ((a, b), (b, a)):
+        cs = m.coeffs
+        if cs and cs.count(0) == len(cs) - 1:
+            k = min(len(cs) - 1, f.t_valuation())
+            return UnivariatePoly.one(a.p) if k == 0 else UnivariatePoly.t(a.p, k)
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
     return a.monic() if not a.is_zero() else a
 
 
 class _PolyFraction:
-    """Reduced fraction num/den of F_p[t] polynomials, monic denominator."""
+    """Reduced fraction num/den of F_p[t] polynomials, monic denominator.
+
+    Every fraction with denominator 1 holds the shared UnivariatePoly.one(p),
+    so the fast paths test for it by identity.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: UnivariatePoly, den: UnivariatePoly | None = None):
         p = num.p
-        if den is None or (den.degree == 0 and den.leading() == 1):
+        if den is None or den.coeffs == (1,):
             # den = 1 dominates in practice; skip reduction entirely.
             self.num = num
             self.den = UnivariatePoly.one(p)
@@ -317,9 +375,19 @@ class _PolyFraction:
             scale = UnivariatePoly((lead_inv,), p)
             num = num * scale
             den = den * scale
+        if den.degree == 0:
+            den = UnivariatePoly.one(p)
         self._validate_den(den)
         self.num = num
         self.den = den
+
+    def _reduced(self, num: UnivariatePoly, den: UnivariatePoly):
+        """A fraction of this kind from a num/den pair that is already reduced,
+        with a monic denominator that this kind accepts."""
+        out = object.__new__(type(self))
+        out.num = num
+        out.den = den
+        return out
 
     def _validate_den(self, den: UnivariatePoly):
         raise NotImplementedError
@@ -335,7 +403,7 @@ class _PolyFraction:
                     f"cannot combine {type(self).__name__} with {type(other).__name__}"
                 )
             return None
-        if other.p != self.p:
+        if other.num.p != self.num.p:
             raise PrimeMismatchError(f"mixed primes {self.p} and {other.p}")
         return other
 
@@ -343,29 +411,32 @@ class _PolyFraction:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        # Denominators are monic, so degree 0 means 1: add the numerators.
-        if self.den.degree == 0 and other.den.degree == 0:
-            return type(self)(self.num + other.num)
-        return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
+        den = self.den
+        if den is other.den and den.coeffs == (1,):
+            return self._reduced(self.num + other.num, den)
+        return type(self)(self.num * other.den + other.num * den, den * other.den)
 
     def __sub__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        if self.den.degree == 0 and other.den.degree == 0:
-            return type(self)(self.num - other.num)
-        return type(self)(self.num * other.den - other.num * self.den, self.den * other.den)
+        den = self.den
+        if den is other.den and den.coeffs == (1,):
+            return self._reduced(self.num - other.num, den)
+        return type(self)(self.num * other.den - other.num * den, den * other.den)
 
     def __mul__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        if self.den.degree == 0 and other.den.degree == 0:
-            return type(self)(self.num * other.num)
-        return type(self)(self.num * other.num, self.den * other.den)
+        den = self.den
+        if den is other.den and den.coeffs == (1,):
+            return self._reduced(self.num * other.num, den)
+        return type(self)(self.num * other.num, den * other.den)
 
     def __neg__(self):
-        return type(self)(-self.num, self.den)
+        # Negating the numerator keeps the fraction reduced and its denominator monic.
+        return self._reduced(-self.num, self.den)
 
     def __truediv__(self, other):
         other = self._check(other)

@@ -586,6 +586,109 @@ class TestKernelsAgainstDenseReference:
             for v in squares[1::3]:
                 assert s.square_mult(u, v) == dense_square_mult(s, u, v)
 
+    @staticmethod
+    def t_power_scalar(rng, ring):
+        """c * t^a / t^b over F_p(t); zero about one time in five."""
+        c = ring.from_int(rng.randrange(ring.p)) * ring.t(rng.randrange(4))
+        return c / ring.t(rng.randrange(1, 6))
+
+    def t_power_vectors(self, rng, ring, dim, count, density):
+        return [
+            {i: c for i in range(dim)
+             if rng.random() < density and not (c := self.t_power_scalar(rng, ring)).is_zero()}
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("which", ["constant_cyclic", "generic_fiber", "generic_dual"])
+    def test_scalars_with_t_power_denominators(self, which):
+        if which == "constant_cyclic":
+            s = as_structure(catalog_build("constant_cyclic", 3, 2, Fiber.GENERIC).hopf)
+        else:
+            s = as_structure(specialize_hopf(deformation_hopf(3), Fiber.GENERIC))
+            if which == "generic_dual":
+                s = cartier_dual(s)
+        r = s.rank
+        rng = random.Random(5)
+        singles = self.t_power_vectors(rng, s.ring, r, 6, 0.6)
+        for u in singles:
+            for v in singles[::2]:
+                assert s.vec_mult(u, v) == dense_vec_mult(s, u, v)
+        squares = self.t_power_vectors(rng, s.ring, r * r, 4, 0.1)
+        for u in squares[:2]:
+            for v in squares[2:]:
+                assert s.square_mult(u, v) == dense_square_mult(s, u, v)
+
+    def test_generic_constant_cyclic_p5_k2(self):
+        # The structure whose verify_axioms dominates `dual --p 5 --name mu`.
+        s = as_structure(catalog_build("constant_cyclic", 5, 2, Fiber.GENERIC).hopf)
+        r = s.rank
+        rng = random.Random(25)
+        singles = [{i: s.ring.one()} for i in range(0, r, 6)]
+        singles += self.t_power_vectors(rng, s.ring, r, 2, 0.5)
+        for u in singles:
+            for v in singles:
+                assert s.vec_mult(u, v) == dense_vec_mult(s, u, v)
+        for u, v in ((s.comul.cols[1], s.comul.cols[7]),
+                     (s.comul.cols[3], self.t_power_vectors(rng, s.ring, r * r, 1, 0.05)[0])):
+            assert s.square_mult(u, v) == dense_square_mult(s, u, v)
+
+    def test_operands_sparser_and_denser_than_the_index(self):
+        # Each kernel loops over the operand or over the index rows, whichever
+        # is smaller; both choices must occur here and agree with the dense sums.
+        s = as_structure(deformation_hopf(3))
+        r = s.rank
+        rng = random.Random(9)
+        singles = [{i: s.ring.one()} for i in range(r)] + self.vectors(rng, s.ring, r, 3)
+        choices = set()
+        for u in singles:
+            for v in singles[::2]:
+                choices |= {len(v) <= len(s._by_left[i]) for i in u}
+                assert s.vec_mult(u, v) == dense_vec_mult(s, u, v)
+        assert choices == {True, False}
+        squares = [{ij: s.ring.one()} for ij in range(0, r * r, 10)]
+        squares += list(s.comul.cols[::3]) + self.vectors(rng, s.ring, r * r, 1)
+        choices = set()
+        for u in squares[::2]:
+            for v in squares[1::2]:
+                choices |= {len(v) <= len(s._by_left[ij // r]) * len(s._by_left[ij % r])
+                            for ij in u}
+                assert s.square_mult(u, v) == dense_square_mult(s, u, v)
+        assert choices == {True, False}
+
+    @staticmethod
+    def sweedler(antipode_of_x_sign=-1):
+        """Sweedler's 4-dimensional Hopf algebra over F_3 on the basis 1, g, x, gx:
+        g^2 = 1, x^2 = 0, xg = -gx, comul(x) = x(x)1 + g(x)x, S(x) = -gx.
+        Neither commutative nor cocommutative."""
+        F = PrimeField(3)
+        one, neg = F.one(), F.from_int(-1)
+        table = {  # (left, right) -> {basis index: coefficient}, basis 1, g, x, gx
+            (1, 1): {0: one}, (1, 2): {3: one}, (1, 3): {2: one},
+            (2, 1): {3: neg}, (3, 1): {2: neg},
+        }
+        mult = LinearMap(F, 16, 4, [
+            {j: one} if i == 0 else {i: one} if j == 0 else table.get((i, j), {})
+            for i in range(4) for j in range(4)
+        ])
+        comul = LinearMap(F, 4, 16, [{0: one}, {5: one}, {8: one, 6: one}, {13: one, 3: one}])
+        counit = LinearMap(F, 4, 1, [{0: one}, {0: one}, {}, {}])
+        antipode = LinearMap(F, 4, 4, [{0: one}, {1: one},
+                                       {3: F.from_int(antipode_of_x_sign)}, {2: one}])
+        return HopfAlgebra(F, ("1", "g", "x", "gx"), mult, {0: one}, comul, counit, antipode)
+
+    def test_antipode_loops_on_a_noncommutative_structure(self):
+        # S(e_i)*e_j and e_i*S(e_j) read the index by right and by left factor;
+        # here the two orders of a product differ.
+        s = self.sweedler()
+        assert s.vec_mult({1: s.ring.one()}, {2: s.ring.one()}) != s.vec_mult(
+            {2: s.ring.one()}, {1: s.ring.one()})
+        report = verify_axioms(s)
+        assert [c.name for c in report.failures()] == [
+            "multiplication is commutative", "comultiplication is cocommutative"]
+        bad = verify_axioms(self.sweedler(antipode_of_x_sign=1))
+        assert [(c.name, c.detail) for c in bad.failures() if c.required] == [
+            ("multiplication is commutative", "g, x"), ("antipode identities hold", "x")]
+
 
 class TestSerialization:
     def test_json_payload_shape(self):

@@ -333,3 +333,179 @@ class TestFastPaths:
         assert (poly([2], 3) * top).coeffs[-1] == 2
         with pytest.raises(DegreeOverflowError):
             top * UnivariatePoly.t(3)
+
+
+def trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def long_division(a, b, p):
+    """Reference quotient and remainder of coefficient lists, b nonzero."""
+    a, b = trim(c % p for c in a), trim(c % p for c in b)
+    inv = pow(b[-1], p - 2, p)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(a) - len(b), -1, -1):
+        f = a[shift + len(b) - 1] * inv % p
+        quo[shift] = f
+        for k, c in enumerate(b):
+            a[shift + k] = (a[shift + k] - f * c) % p
+    return trim(quo), trim(a)
+
+
+def euclid_gcd(a, b, p):
+    """Reference monic gcd of coefficient lists by plain Euclid."""
+    a, b = trim(c % p for c in a), trim(c % p for c in b)
+    while b:
+        a, b = b, long_division(a, b, p)[1]
+    if not a:
+        return []
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def combine(a, b, sign):
+    """Coefficient lists a + sign*b, not reduced."""
+    n = max(len(a), len(b))
+    return [x + sign * y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+
+
+def schoolbook(a, b, p):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim(c % p for c in out)
+
+
+def assert_canonical(f, p):
+    assert type(f) is UnivariatePoly and f.p == p
+    assert type(f.coeffs) is tuple
+    assert all(type(c) is int and 0 <= c < p for c in f.coeffs)
+    assert not f.coeffs or f.coeffs[-1] != 0
+
+
+def oracle_polys(p):
+    """Seeded polynomials of degree <= 60: zero, constants, monomials c*t^k
+    with c != 1 where p allows it, t^k times a unit, and general ones."""
+    rng = random.Random(100 + p)
+    coeff = (lambda: rng.randrange(2, p)) if p > 2 else (lambda: 1)
+    polys = [poly([], p), poly([1], p), poly([coeff()], p)]
+    for _ in range(6):
+        polys.append(poly([0] * rng.randrange(61) + [coeff()], p))
+        polys.append(poly([rng.randrange(p) for _ in range(rng.randrange(1, 62))], p))
+        k = rng.randrange(20)
+        polys.append(poly([0] * k + [rng.randrange(1, p)]
+                          + [rng.randrange(p) for _ in range(rng.randrange(40))], p))
+    return polys
+
+
+class TestAgainstOracles:
+    """F_p[t] arithmetic, the t-power short cuts included, against plain
+    reference algorithms on coefficient lists."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_polynomial_arithmetic(self, p):
+        polys = oracle_polys(p)
+        if p > 2:
+            assert any(f.degree > 0 and f.coeffs.count(0) == f.degree and f.coeffs[-1] != 1
+                       for f in polys)
+        for a in polys:
+            assert_canonical(-a, p)
+            assert_canonical(a.monic(), p)
+            for b in polys:
+                ca, cb = list(a.coeffs), list(b.coeffs)
+                for result, want in ((a + b, combine(ca, cb, 1)), (a - b, combine(ca, cb, -1)),
+                                     (a * b, schoolbook(ca, cb, p))):
+                    assert_canonical(result, p)
+                    assert result == poly(want, p)
+                g = poly_gcd(a, b)
+                assert_canonical(g, p)
+                assert list(g.coeffs) == euclid_gcd(ca, cb, p)
+                if not b.is_zero():
+                    q, r = a.divmod(b)
+                    assert_canonical(q, p)
+                    assert_canonical(r, p)
+                    want_q, want_r = long_division(ca, cb, p)
+                    assert (list(q.coeffs), list(r.coeffs)) == (want_q, want_r)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_fractions_with_t_power_denominators(self, p):
+        F = FunctionField(p)
+        rng = random.Random(p)
+        polys = oracle_polys(p)
+
+        def fraction():
+            num = rng.choice(polys)
+            den = UnivariatePoly.t(p, rng.randrange(8)) * poly([rng.randrange(1, p)], p)
+            return RationalFunction(num, den)
+
+        def check(x, num, den):
+            """x is the reduced form of num/den: cross-multiplication, coprime, monic."""
+            assert_canonical(x.num, p)
+            assert_canonical(x.den, p)
+            assert x.den.coeffs[-1] == 1
+            assert euclid_gcd(list(x.num.coeffs), list(x.den.coeffs), p) == [1]
+            assert schoolbook(list(x.num.coeffs), den, p) == schoolbook(num, list(x.den.coeffs), p)
+            assert (x.den is UnivariatePoly.one(p)) == (x.den.coeffs == (1,))
+
+        for _ in range(60):
+            a, b = fraction(), fraction()
+            an, ad, bn, bd = (list(f.coeffs) for f in (a.num, a.den, b.num, b.den))
+            cross = (schoolbook(an, bd, p), schoolbook(bn, ad, p))
+            check(a + b, combine(*cross, 1), schoolbook(ad, bd, p))
+            check(a - b, combine(*cross, -1), schoolbook(ad, bd, p))
+            check(a * b, schoolbook(an, bn, p), schoolbook(ad, bd, p))
+            check(-a, [-c for c in an], ad)
+            if not b.is_zero():
+                check(a / b, schoolbook(an, bd, p), schoolbook(ad, bn, p))
+        assert F.t(3) / F.t(3) == F.one()
+        assert (F.t(3) / F.t(3)).den is UnivariatePoly.one(p)
+
+    def test_degree_guard_through_multiplication(self):
+        p = 5
+        top = MAX_T_DEGREE
+        for k in (1, 2, top // 2):
+            with pytest.raises(DegreeOverflowError):
+                UnivariatePoly.t(p, k) * UnivariatePoly.t(p, top + 1 - k)
+        assert (UnivariatePoly.t(p, top) * poly([1], p)).degree == top
+        assert (poly([3], p) * UnivariatePoly.t(p, top)).degree == top
+        with pytest.raises(DegreeOverflowError):
+            poly([0] * top + [3], p) * poly([0, 2], p)
+        unit_top = poly([1] + [0] * (top - 1) + [2], p)  # 1 + 2t^top, coprime to t
+        for den in ([1], [0, 0, 1]):
+            x = RationalFunction(unit_top, poly(den, p))
+            with pytest.raises(DegreeOverflowError):
+                x * RationalFunction(poly([1, 1], p), poly([0, 0, 0, 1], p))
+        with pytest.raises(DegreeOverflowError):
+            LocalRingElement(unit_top) * LocalRingElement(poly([0, 1], p))
+
+    @pytest.mark.parametrize("den", [[1], [0, 0, 1]], ids=["den-1", "den-t^2"])
+    def test_mixing_is_refused(self, den):
+        a = rat([2, 1], den, 5)
+        same_kind_other_prime = rat([2, 1], den, 3)
+        local_ring = local([2, 1], [1], 5)
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            with pytest.raises(PrimeMismatchError):
+                getattr(a, op)(same_kind_other_prime)
+            with pytest.raises(PrimeMismatchError):
+                getattr(same_kind_other_prime, op)(a)
+            with pytest.raises(ContextMismatchError):
+                getattr(a, op)(local_ring)
+            with pytest.raises(ContextMismatchError):
+                getattr(local_ring, op)(a)
+            with pytest.raises(ContextMismatchError):
+                getattr(a, op)(FpElement(1, 5))
+        with pytest.raises(PrimeMismatchError):
+            RationalFunction(poly([1, 1], 5), poly(den, 3) * poly([0, 1], 3))
+        monomial = poly(den, 5) * poly([0, 3], 5)
+        with pytest.raises(PrimeMismatchError):
+            poly_gcd(monomial, poly([1, 1], 3))
+        with pytest.raises(PrimeMismatchError):
+            poly_gcd(poly([1, 1], 3), monomial)
+        with pytest.raises(PrimeMismatchError):
+            poly([1, 2, 3], 3).divmod(monomial)
+        with pytest.raises(ContextMismatchError):
+            poly_gcd(monomial, FpElement(1, 5))
