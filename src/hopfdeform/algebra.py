@@ -600,18 +600,32 @@ class LinearMap:
         return f"<LinearMap {self.source_dim} -> {self.target_dim} over {self.ring.tag}>"
 
 
-def tensor_apply(f: LinearMap, g: LinearMap, vec: dict) -> dict:
-    """Apply f (x) g to a sparse vector over the product index i*g.source + j."""
+def tensor_apply_left(f: LinearMap, n: int, vec: dict) -> dict:
+    """Apply f (x) id_n to a sparse vector over the product index i*n + j."""
+    out: dict = {}
+    for idx, c in vec.items():
+        i, j = divmod(idx, n)
+        for fi, fc in f.cols[i].items():
+            _acc(out, fi * n + j, c * fc)
+    return out
+
+
+def tensor_apply_right(g: LinearMap, vec: dict) -> dict:
+    """Apply id (x) g to a sparse vector over the product index i*g.source + j."""
     out: dict = {}
     gs, gt = g.source_dim, g.target_dim
     for idx, c in vec.items():
         i, j = divmod(idx, gs)
-        for fi, fc in f.cols[i].items():
-            base = fi * gt
-            cfc = c * fc
-            for gj, gc in g.cols[j].items():
-                _acc(out, base + gj, cfc * gc)
+        base = i * gt
+        for gj, gc in g.cols[j].items():
+            _acc(out, base + gj, c * gc)
     return out
+
+
+def tensor_apply(f: LinearMap, g: LinearMap, vec: dict) -> dict:
+    """Apply f (x) g to a sparse vector over the product index i*g.source + j,
+    as the composite (f (x) id)(id (x) g) of the two one-sided maps."""
+    return tensor_apply_left(f, g.target_dim, tensor_apply_right(g, vec))
 
 
 def row_reduce(rows) -> list[tuple[int, dict]]:

@@ -4,7 +4,13 @@ Two carriers are used.  A HopfPresentation pins the structure maps by
 generator images on a MonomialQuotientAlgebra; a HopfAlgebra carries raw
 structure tensors on an explicit basis (the form in which duals arrive).
 Every checker works on the tensor form, so both carriers are accepted
-everywhere.
+everywhere.  Each checked identity is one comparison of two composites
+built from a small set of kernels: LinearMap.apply, the products
+HopfAlgebra.vec_mult (in H) and square_mult (in H(x)H), the outer
+product _outer, and the one-sided tensor maps tensor_apply_left
+(f (x) id) and tensor_apply_right (id (x) g) of the algebra module.  The
+first offender of each identity is found by _first_label (over basis
+elements) or _first_pair (over basis pairs i <= j).
 
 The central object built here is the order-p^2 deformation
 R[x,y]/(x^p, y^p - t*x) over F_p[t] localized at (t), whose special
@@ -27,6 +33,9 @@ from .algebra import (
     invert_unit,
     null_space,
     row_reduce,
+    tensor_apply,
+    tensor_apply_left,
+    tensor_apply_right,
     unit_algebra,
 )
 from .errors import (
@@ -56,8 +65,7 @@ class HopfAlgebra:
     Tensor indices follow the left-most-significant convention i*rank + j.
     """
 
-    __slots__ = ("ring", "labels", "mult", "unit", "comul", "counit", "antipode",
-                 "_by_left", "_by_right")
+    __slots__ = ("ring", "labels", "mult", "unit", "comul", "counit", "antipode", "_by_left")
 
     def __init__(self, ring, labels, mult, unit, comul, counit, antipode):
         r = len(labels)
@@ -76,15 +84,12 @@ class HopfAlgebra:
         self.comul = comul
         self.counit = counit
         self.antipode = antipode
-        # The nonempty product columns of each basis element, as the left
-        # factor (_by_left[i][j]) and as the right one (_by_right[j][i]).
+        # _by_left[i][j] is the product column of e_i*e_j, for the nonempty ones.
         self._by_left = [{} for _ in range(r)]
-        self._by_right = [{} for _ in range(r)]
         for ij, col in enumerate(mult.cols):
             if col:
                 i, j = divmod(ij, r)
                 self._by_left[i][j] = col
-                self._by_right[j][i] = col
 
     @property
     def rank(self) -> int:
@@ -103,10 +108,7 @@ class HopfAlgebra:
         return out
 
     def counit_of(self, u: dict):
-        acc = self.ring.zero()
-        for i, c in u.items():
-            acc = acc + c * self.counit.cols[i].get(0, self.ring.zero())
-        return acc
+        return self.counit.apply(u).get(0, self.ring.zero())
 
     def square_mult(self, u: dict, v: dict) -> dict:
         """Product in H(x)H of two sparse vectors over the tensor basis.
@@ -287,131 +289,79 @@ class AxiomReport:
 def verify_axioms(h) -> AxiomReport:
     """Check every Hopf identity columnwise; report the first offender per axiom.
 
-    Cocommutativity is reported but not required.
+    Each identity compares two composites of the structure maps on basis
+    elements (or pairs of them).  Cocommutativity is reported but not required.
     """
     s = as_structure(h)
     r = s.rank
-    ring = s.ring
-    labels = s.labels
+    m, unit, d, eps, S = s.mult_col, s.unit, s.comul.cols, s.counit.cols, s.antipode.cols
+    one = s.ring.one()
     report = AxiomReport()
 
     def record(name, offender, required=True):
         report.checks.append(AxiomCheck(name, offender is None, required, offender))
 
-    record("multiplication is commutative", _noncommuting_pair(s))
+    record("multiplication is commutative", _first_pair(s, lambda i, j: m(i, j) != m(j, i)))
+    record("comultiplication is an algebra map",
+           "1" if s.comul.apply(unit) != _outer(unit, unit, r) else
+           _first_pair(s, lambda i, j: s.comul.apply(m(i, j)) != s.square_mult(d[i], d[j])))
+    record("counit is an algebra map",
+           "1" if s.counit.apply(unit) != {0: one} else
+           _first_pair(s, lambda i, j: s.counit.apply(m(i, j)) != _outer(eps[i], eps[j], 1)))
+    record("comultiplication is coassociative", _first_label(
+        s, lambda k: tensor_apply_left(s.comul, r, d[k]) != tensor_apply_right(s.comul, d[k])))
+    record("counit identities hold", _first_label(
+        s, lambda k: tensor_apply_left(s.counit, r, d[k]) != {k: one}
+        or tensor_apply_right(s.counit, d[k]) != {k: one}))
 
-    # comultiplication is an algebra map
-    offender = None
-    if s.comul.apply(s.unit) != _outer(s.unit, s.unit, r):
-        offender = "1"
-    else:
-        for i in range(r):
-            di = s.comul.cols[i]
-            for j in range(i, r):
-                lhs = s.comul.apply(s.mult.cols[i * r + j])
-                rhs = s.square_mult(di, s.comul.cols[j])
-                if lhs != rhs:
-                    offender = f"{labels[i]}, {labels[j]}"
-                    break
-            if offender:
-                break
-    record("comultiplication is an algebra map", offender)
+    def antipode_differs(k):
+        # m(S (x) id) and m(id (x) S) on comul(e_k) = sum e_i (x) a_i = sum b_j (x) e_j
+        rows, cols = _factor_groups(d[k], r)
+        expected = _outer(eps[k], unit, r)
+        return (_sum(s.vec_mult(S[i], a) for i, a in rows.items()) != expected
+                or _sum(s.vec_mult(b, S[j]) for j, b in cols.items()) != expected)
 
-    # counit is an algebra map
-    eps = [s.counit.cols[i].get(0, ring.zero()) for i in range(r)]
-    offender = None
-    if s.counit_of(s.unit) != ring.one():
-        offender = "1"
-    else:
-        for i in range(r):
-            for j in range(i, r):
-                if s.counit_of(s.mult.cols[i * r + j]) != eps[i] * eps[j]:
-                    offender = f"{labels[i]}, {labels[j]}"
-                    break
-            if offender:
-                break
-    record("counit is an algebra map", offender)
-
-    # coassociativity
-    offender = None
-    for k in range(r):
-        u = s.comul.cols[k]
-        lhs: dict = {}
-        rhs: dict = {}
-        for ij, c in u.items():
-            i, j = divmod(ij, r)
-            for ab, d in s.comul.cols[i].items():
-                _acc(lhs, ab * r + j, c * d)
-            for ab, d in s.comul.cols[j].items():
-                _acc(rhs, i * r * r + ab, c * d)
-        if lhs != rhs:
-            offender = labels[k]
-            break
-    record("comultiplication is coassociative", offender)
-
-    # counit identities
-    offender = None
-    for k in range(r):
-        left: dict = {}
-        right: dict = {}
-        for ij, c in s.comul.cols[k].items():
-            i, j = divmod(ij, r)
-            _acc(left, j, c * eps[i])
-            _acc(right, i, c * eps[j])
-        expected = {k: ring.one()}
-        if left != expected or right != expected:
-            offender = labels[k]
-            break
-    record("counit identities hold", offender)
-
-    # antipode identities
-    offender = None
-    for k in range(r):
-        left: dict = {}
-        right: dict = {}
-        for ij, c in s.comul.cols[k].items():
-            i, j = divmod(ij, r)
-            # S(e_i)*e_j and e_i*S(e_j), over the nonempty product columns only
-            for sc, col in _nonempty_products(s._by_right[j], s.antipode.cols[i]):
-                csc = c * sc
-                for m, mc in col.items():
-                    _acc(left, m, csc * mc)
-            for sc, col in _nonempty_products(s._by_left[i], s.antipode.cols[j]):
-                csc = c * sc
-                for m, mc in col.items():
-                    _acc(right, m, csc * mc)
-        expected = {i: eps[k] * c for i, c in s.unit.items() if not (eps[k] * c).is_zero()}
-        if left != expected or right != expected:
-            offender = labels[k]
-            break
-    record("antipode identities hold", offender)
-
-    record("comultiplication is cocommutative", _noncocommuting_label(s), required=False)
-
+    record("antipode identities hold", _first_label(s, antipode_differs))
+    record("comultiplication is cocommutative",
+           _first_label(s, lambda k: _is_flip_asymmetric(d[k], r)), required=False)
     return report
 
 
-def _noncommuting_pair(s: HopfAlgebra) -> str | None:
-    """Labels of the first basis pair whose two products differ, or None."""
-    r = s.rank
-    for i in range(r):
-        for j in range(i + 1, r):
-            if s.mult.cols[i * r + j] != s.mult.cols[j * r + i]:
-                return f"{s.labels[i]}, {s.labels[j]}"
-    return None
+def _first_label(s: HopfAlgebra, differs) -> str | None:
+    """Label of the first basis element k with differs(k), or None."""
+    return next((s.labels[k] for k in range(s.rank) if differs(k)), None)
 
 
-def _noncocommuting_label(s: HopfAlgebra) -> str | None:
-    """Label of the first basis element whose coproduct is not flip-symmetric, or None."""
+def _first_pair(s: HopfAlgebra, differs) -> str | None:
+    """Labels of the first basis pair i <= j with differs(i, j), or None."""
     r = s.rank
-    for k, u in enumerate(s.comul.cols):
-        flipped = {}
-        for ij, c in u.items():
-            i, j = divmod(ij, r)
-            flipped[j * r + i] = c
-        if flipped != u:
-            return s.labels[k]
-    return None
+    return next((f"{s.labels[i]}, {s.labels[j]}"
+                 for i in range(r) for j in range(i, r) if differs(i, j)), None)
+
+
+def _factor_groups(u: dict, r: int) -> tuple[dict, dict]:
+    """u = sum e_i (x) a_i = sum b_j (x) e_j in H(x)H, as ({i: a_i}, {j: b_j})."""
+    rows: dict = {}
+    cols: dict = {}
+    for ij, c in u.items():
+        i, j = divmod(ij, r)
+        rows.setdefault(i, {})[j] = c
+        cols.setdefault(j, {})[i] = c
+    return rows, cols
+
+
+def _is_flip_asymmetric(u: dict, r: int) -> bool:
+    """Whether u in H(x)H differs from its image under a(x)b -> b(x)a."""
+    rows, cols = _factor_groups(u, r)
+    return rows != cols
+
+
+def _sum(vecs) -> dict:
+    out: dict = {}
+    for v in vecs:
+        for i, c in v.items():
+            _acc(out, i, c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +585,10 @@ def cartier_dual(h) -> HopfAlgebra:
     """
     s = as_structure(h)
     r = s.rank
-    pair = _noncommuting_pair(s)
+    pair = _first_pair(s, lambda i, j: s.mult_col(i, j) != s.mult_col(j, i))
     if pair is not None:
         raise NotCommutativeError(f"multiplication is not commutative at {pair}")
-    label = _noncocommuting_label(s)
+    label = _first_label(s, lambda k: _is_flip_asymmetric(s.comul.cols[k], r))
     if label is not None:
         raise NotCocommutativeError(f"comultiplication is not cocommutative at {label}")
     labels = tuple(_dual_label(l) for l in s.labels)
@@ -735,54 +685,18 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
         return report
 
     record("unit preserved", phi.apply(s1.unit) == s2.unit)
-
-    offender = None
-    for i in range(r):
-        pi = phi.cols[i]
-        for j in range(i, r):
-            lhs = phi.apply(s1.mult.cols[i * r + j])
-            rhs = s2.vec_mult(pi, phi.cols[j])
-            if lhs != rhs:
-                offender = f"{s1.labels[i]}, {s1.labels[j]}"
-                break
-        if offender:
-            break
-    record("multiplication preserved", offender is None, offender)
-
-    offender = None
-    for k in range(r):
-        if s2.counit_of(phi.cols[k]) != s1.counit_of({k: s1.ring.one()}):
-            offender = s1.labels[k]
-            break
-    record("counit preserved", offender is None, offender)
-
-    offender = None
-    for k in range(r):
-        lhs = s2.comul.apply(phi.cols[k])
-        rhs: dict = {}
-        for ij, c in s1.comul.cols[k].items():
-            i, j = divmod(ij, r)
-            pj = phi.cols[j]
-            if not pj:
-                continue
-            for a, ca in phi.cols[i].items():
-                cca = c * ca
-                for b, cb in pj.items():
-                    _acc(rhs, a * r + b, cca * cb)
-        if lhs != rhs:
-            offender = s1.labels[k]
-            break
-    record("comultiplication preserved", offender is None, offender)
-
-    offender = None
-    for k in range(r):
-        lhs = s2.antipode.apply(phi.cols[k])
-        rhs = phi.apply(s1.antipode.cols[k])
-        if lhs != rhs:
-            offender = s1.labels[k]
-            break
-    record("antipode preserved", offender is None, offender)
-
+    checks = (
+        ("multiplication preserved", _first_pair(
+            s1, lambda i, j: phi.apply(s1.mult_col(i, j)) != s2.vec_mult(phi.cols[i], phi.cols[j]))),
+        ("counit preserved", _first_label(
+            s1, lambda k: s2.counit.apply(phi.cols[k]) != s1.counit.cols[k])),
+        ("comultiplication preserved", _first_label(
+            s1, lambda k: s2.comul.apply(phi.cols[k]) != tensor_apply(phi, phi, s1.comul.cols[k]))),
+        ("antipode preserved", _first_label(
+            s1, lambda k: s2.antipode.apply(phi.cols[k]) != phi.apply(s1.antipode.cols[k]))),
+    )
+    for name, offender in checks:
+        record(name, offender is None, offender)
     return report
 
 

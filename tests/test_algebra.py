@@ -15,6 +15,8 @@ from hopfdeform.algebra import (
     null_space,
     row_reduce,
     tensor_apply,
+    tensor_apply_left,
+    tensor_apply_right,
     unit_algebra,
 )
 from hopfdeform.errors import (
@@ -301,6 +303,60 @@ class TestLinearMaps:
             vec = {i: F.from_int(rng.randrange(3)) for i in range(4)}
             vec = {i: c for i, c in vec.items() if not c.is_zero()}
             assert tensor_apply(f, g, vec) == f.kron(g).apply(vec)
+
+    @staticmethod
+    def random_map(rng, F, source, target, empty=()):
+        """Random source -> target map over F whose columns listed in empty are zero."""
+        return LinearMap(F, source, target, [
+            {} if j in empty else {i: F.from_int(rng.randrange(F.p)) for i in range(target)}
+            for j in range(source)
+        ])
+
+    @staticmethod
+    def random_vec(rng, F, dim):
+        vec = {i: F.from_int(rng.randrange(F.p)) for i in range(dim)}
+        return {i: c for i, c in vec.items() if not c.is_zero()}
+
+    def test_one_sided_maps_on_non_square_shapes_match_kron(self):
+        # f: 2 -> 3 and g: 3 -> 1, so neither factor's source and target agree.
+        rng = random.Random(12)
+        F = PrimeField(5)
+        for _ in range(20):
+            f = self.random_map(rng, F, 2, 3)
+            g = self.random_map(rng, F, 3, 1)
+            vec = self.random_vec(rng, F, 6)
+            assert tensor_apply(f, g, vec) == f.kron(g).apply(vec)
+            assert tensor_apply_left(f, 3, vec) == f.kron(LinearMap.identity(F, 3)).apply(vec)
+            assert tensor_apply_right(g, vec) == LinearMap.identity(F, 2).kron(g).apply(vec)
+            # g (x) f as well: the product index of the other shape
+            assert tensor_apply(g, f, vec) == g.kron(f).apply(vec)
+
+    def test_identity_factor_on_either_side(self):
+        rng = random.Random(13)
+        F = PrimeField(3)
+        for _ in range(10):
+            f = self.random_map(rng, F, 3, 2)
+            vec = self.random_vec(rng, F, 12)  # 3 x 4 on the left, 4 x 3 on the right
+            ident = LinearMap.identity(F, 4)
+            assert tensor_apply(f, ident, vec) == tensor_apply_left(f, 4, vec)
+            assert tensor_apply(f, ident, vec) == f.kron(ident).apply(vec)
+            assert tensor_apply(ident, f, vec) == tensor_apply_right(f, vec)
+            assert tensor_apply(ident, f, vec) == ident.kron(f).apply(vec)
+
+    def test_zero_columns(self):
+        rng = random.Random(14)
+        F = PrimeField(7)
+        for _ in range(10):
+            f = self.random_map(rng, F, 3, 2, empty={1})
+            g = self.random_map(rng, F, 2, 3, empty={0})
+            vec = self.random_vec(rng, F, 6)
+            assert tensor_apply(f, g, vec) == f.kron(g).apply(vec)
+            assert tensor_apply_left(f, 2, vec) == f.kron(LinearMap.identity(F, 2)).apply(vec)
+            assert tensor_apply_right(g, vec) == LinearMap.identity(F, 3).kron(g).apply(vec)
+        zero = LinearMap(F, 2, 2, [{}, {}])
+        assert tensor_apply(zero, zero, {0: F.one(), 3: F.one()}) == {}
+        assert tensor_apply_left(zero, 2, {1: F.one()}) == {}
+        assert tensor_apply_right(zero, {2: F.one()}) == {}
 
     def test_null_space(self):
         F = PrimeField(3)

@@ -386,6 +386,16 @@ PINNED_JSON = [
      "ae70abfb22500a12e2a9094b2e9ba1238d6d1073deadaa372ce70119e3ef368f"),
     (["dual", "--p", "3", "--fiber", "generic", "--power", "2", "--name", "constant_cyclic"], 0,
      "a4de9f8ceba8ee4dc9d48fef798cfffb042b3ef62a42d40baa5a414186a95ebb"),
+    (["dual", "--p", "5", "--fiber", "generic", "--power", "2", "--name", "mu"], 0,
+     "1cfdfbfd147b435044196bd4ccbc29f115d51f3896cb1017be9381d4b4a8afc7"),
+    (["dual", "--p", "5", "--fiber", "generic", "--power", "2", "--name", "constant_cyclic"], 0,
+     "45141bd76da00efa395b085784b48c666456808beda7aeca602e441439d21e8c"),
+    (["dual", "--p", "5", "--name", "alpha_p"], 0,
+     "83b94b1d111bf485a660daf7523fa112c5e7926381a67845626d80988e7adbb4"),
+    (["quotient", "--p", "5", "--kill", "x", "--slow"], 0,
+     "b707ac0adfaa9c7bb0f512a0d9b894086049c6e3f37090c0f08d8e6a9db243cd"),
+    (["quotient", "--p", "5", "--kill", "y", "--slow"], 1,
+     "7cfb8bbab54e3cb8db0835018f069098964a48020c8149fba37e297932a78f59"),
     (["cohomology-table", "--max-n", "20", "--max-degree", "120"], 0,
      "c2a6ab2b3d7c2851f594b440bcea05eb74c53daee9154aae4201fbc022fb28ba"),
     (["cohomology-table", "--fiber", "special"], 0,

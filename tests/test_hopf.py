@@ -1,5 +1,7 @@
 """Tests for Hopf structures: the deformation, its fibers, duality, quotients."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -53,6 +55,18 @@ REQUIRED_CHECKS = [
     "comultiplication is coassociative",
     "counit identities hold",
     "antipode identities hold",
+]
+
+ISO_CHECKS = [
+    "base rings agree",
+    "ranks agree",
+    "map shape",
+    "map is invertible",
+    "unit preserved",
+    "multiplication preserved",
+    "counit preserved",
+    "comultiplication preserved",
+    "antipode preserved",
 ]
 
 
@@ -706,3 +720,78 @@ class TestSerialization:
         a = presentation_to_json(deformation_hopf(3))
         b = presentation_to_json(deformation_hopf(3))
         assert a == b
+
+
+class TestReportOracle:
+    """verify_axioms and exhibit_isomorphism on seeded broken structures and maps.
+
+    Each sample adds one or two entries to one structure tensor (sometimes
+    also to the unit) of a verified structure, and checks an identity map,
+    itself sometimes perturbed, from the verified structure to the broken
+    one.  The digest pins every report, offender labels included.
+    """
+
+    DIGEST = "30468a1558952afaa5bf8667a6d3b0ddb7a5b133f9dafc2688911c341200e319"
+    SAMPLES_PER_BASE = 24
+
+    @staticmethod
+    def bases():
+        out = []
+        for p in PRIMES:
+            for name, k in (("alpha_p", 1), ("mu", 1), ("mu", 2),
+                            ("constant_cyclic", 1), ("constant_cyclic", 2)):
+                out.append(as_structure(catalog_build(name, p, k).hopf))
+            out.append(as_structure(specialize_hopf(deformation_hopf(p), Fiber.SPECIAL)))
+        out.append(as_structure(catalog_build("mu", 2, 1, Fiber.GENERIC).hopf))
+        out.append(as_structure(deformation_hopf(2)))
+        out.append(TestKernelsAgainstDenseReference.sweedler())
+        return out
+
+    @staticmethod
+    def scalar(rng, ring):
+        c = ring.from_int(rng.randrange(1, ring.p))
+        return c * ring.t() if hasattr(ring, "t") and rng.randrange(2) else c
+
+    def bumped(self, rng, m, ring):
+        """m with one or two entries changed by a nonzero scalar."""
+        cols = [dict(col) for col in m.cols]
+        for _ in range(rng.randrange(1, 3)):
+            col, row = rng.randrange(m.source_dim), rng.randrange(m.target_dim)
+            cols[col][row] = cols[col].get(row, ring.zero()) + self.scalar(rng, ring)
+        return LinearMap(ring, m.source_dim, m.target_dim, cols)
+
+    def broken(self, rng, s):
+        maps = {"mult": s.mult, "comul": s.comul, "counit": s.counit, "antipode": s.antipode}
+        which = rng.choice(sorted(maps))
+        maps[which] = self.bumped(rng, maps[which], s.ring)
+        unit = dict(s.unit)
+        if rng.randrange(6) == 0:
+            i = rng.randrange(s.rank)
+            unit[i] = unit.get(i, s.ring.zero()) + self.scalar(rng, s.ring)
+        return HopfAlgebra(s.ring, s.labels, maps["mult"], unit, maps["comul"],
+                           maps["counit"], maps["antipode"])
+
+    def reports(self):
+        rng = random.Random(20261018)
+        out = []
+        for s in self.bases():
+            ident = LinearMap.identity(s.ring, s.rank)
+            for _ in range(self.SAMPLES_PER_BASE):
+                b = self.broken(rng, s)
+                phi = self.bumped(rng, ident, s.ring) if rng.randrange(4) else ident
+                out.append(verify_axioms(b).to_dict())
+                out.append(exhibit_isomorphism(s, b, phi).to_dict())
+        # The three checks that stop a report early.
+        a2, a3 = (as_structure(catalog_build("alpha_p", p).hopf) for p in PRIMES)
+        mu4 = as_structure(catalog_build("mu", 2, 2).hopf)
+        out.append(exhibit_isomorphism(a2, a3, LinearMap.identity(a2.ring, 2)).to_dict())
+        out.append(exhibit_isomorphism(a2, mu4, LinearMap.identity(a2.ring, 2)).to_dict())
+        out.append(exhibit_isomorphism(a2, a2, LinearMap.identity(a2.ring, 4)).to_dict())
+        return out
+
+    def test_reports_match_the_pinned_digest(self):
+        reports = self.reports()
+        failed = {c["name"] for rep in reports for c in rep["checks"] if not c["passed"]}
+        assert failed == set(REQUIRED_CHECKS + ISO_CHECKS) | {"comultiplication is cocommutative"}
+        digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+        assert digest == self.DIGEST
