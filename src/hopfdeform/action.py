@@ -12,10 +12,11 @@ the top coefficient is a unit: the obstruction in degree top - e_i equals
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraElement, MonomialQuotientAlgebra, invert_unit
+from .algebra import AlgebraElement, MonomialQuotientAlgebra, invert_unit, multiplication_matrix
 from .errors import (
     ContextMismatchError,
     NonUnitError,
@@ -77,7 +78,8 @@ class RegularRepElement:
         for exps, c in coefficients.items():
             if len(exps) != n or any(e < 0 or e >= p for e in exps):
                 raise UnsupportedParametersError(f"exponent vector {exps} out of range")
-            if not (isinstance(c, AlgebraElement) and c.algebra == coefficient_algebra):
+            if not (isinstance(c, AlgebraElement)
+                    and (c.algebra is coefficient_algebra or c.algebra == coefficient_algebra)):
                 raise ContextMismatchError("coefficients must lie in the test algebra")
             if not c.is_zero():
                 clean[tuple(exps)] = c
@@ -97,7 +99,8 @@ class RegularRepElement:
             not isinstance(other, RegularRepElement)
             or other.p != self.p
             or other.n != self.n
-            or other.coefficient_algebra != self.coefficient_algebra
+            or (other.coefficient_algebra is not self.coefficient_algebra
+                and other.coefficient_algebra != self.coefficient_algebra)
         ):
             raise ContextMismatchError("mixed regular-representation parents")
         return other
@@ -130,7 +133,8 @@ class RegularRepElement:
             isinstance(other, RegularRepElement)
             and other.p == self.p
             and other.n == self.n
-            and other.coefficient_algebra == self.coefficient_algebra
+            and (other.coefficient_algebra is self.coefficient_algebra
+                 or other.coefficient_algebra == self.coefficient_algebra)
             and other.coefficients == self.coefficients
         )
 
@@ -363,13 +367,24 @@ def is_action(p, n, B, translate_fn=translate, max_pairs: int = 500,
     """Check the action laws: identity and composition of translations.
 
     All point pairs are tried when their number is at most max_pairs;
-    beyond that a seeded sample of pairs is used.
+    beyond that a seeded sample of pairs is used.  translate_fn is called
+    with translate's own signature, (f, point, expansion_table(p, n, point));
+    each table is built on first use, so only points that occur get one.
     """
     points = enumerate_action_points(p, n, B)
     reps = spanning_elements(p, n, B)
+    tables: dict = {}
+
+    def table(pt):
+        t = tables.get(pt)
+        if t is None:
+            t = tables[pt] = expansion_table(p, n, pt)
+        return t
+
     zero = zero_point(B, n)
+    zero_table = table(zero)
     for f in reps:
-        if translate_fn(f, zero) != f:
+        if translate_fn(f, zero, zero_table) != f:
             return False
     total = len(points) ** 2
     if total <= max_pairs:
@@ -382,8 +397,9 @@ def is_action(p, n, B, translate_fn=translate, max_pairs: int = 500,
         ]
     for b, c in pairs:
         bc = b + c
+        tb, tc, tbc = table(b), table(c), table(bc)
         for f in reps:
-            if translate_fn(translate_fn(f, b), c) != translate_fn(f, bc):
+            if translate_fn(translate_fn(f, b, tb), c, tc) != translate_fn(f, bc, tbc):
                 return False
     return True
 
@@ -392,17 +408,13 @@ def is_action(p, n, B, translate_fn=translate, max_pairs: int = 500,
 # free locus
 
 
-def _all_generators_nilpotent(B) -> bool:
-    return all((B.gen(i) ** B.rank).is_zero() for i in range(len(B.gens)))
-
-
 def is_unit_element(c: AlgebraElement) -> bool:
     """Unit test in a finite test algebra.
 
     When every generator is nilpotent the algebra is local and the test
     reduces to the constant term; otherwise fall back to inverting.
     """
-    if _all_generators_nilpotent(c.algebra):
+    if c.algebra.generators_nilpotent:
         return not c.constant_term().is_zero()
     try:
         invert_unit(c)
@@ -464,6 +476,72 @@ class FreeLocusReport:
         }
 
 
+def _residues(c: AlgebraElement) -> list:
+    """Coordinates of a test-algebra element as ints in [0, p), in basis order."""
+    B = c.algebra
+    v = [0] * B.rank
+    for exps, k in c.coeffs.items():
+        v[B.index(exps)] = k.residue
+    return v
+
+
+def hyperplane_probes(p: int, n: int, points) -> list:
+    """(point, expansion table, probe) for every nonzero point, in order.
+
+    The probe holds, per direction i, the monomial tau = x^top / x_i, the
+    monomials a with x^tau in the expansion of (x + b)^a, and the rows of
+    [M_a1 | M_a2 | ...]: M_a is the matrix of c -> c * table[a][tau] on B
+    as rank x rank int residues (row r, column s), built by multiplying
+    the basis monomials.  Applied to f's stacked coefficients it gives the
+    coefficient of x^tau in f(x + b); translation fixes f only if that
+    equals f's own, so a mismatch proves the point moves f without a full
+    translate.
+    """
+    monomials = list(itertools.product(range(p), repeat=n))
+    prepared = []
+    for pt in points:
+        if pt.is_zero():
+            continue
+        rank = pt.algebra.rank
+        table = expansion_table(p, n, pt)
+        probe = []
+        for i in range(n):
+            tau = tuple(p - 1 - (1 if j == i else 0) for j in range(n))
+            keys = tuple(a for a in monomials if tau in table[a])
+            blocks = [multiplication_matrix(table[a][tau]).cols for a in keys]
+            rows = tuple(
+                tuple(col[r].residue if r in col else 0 for cols in blocks for col in cols)
+                for r in range(rank))
+            probe.append((tau, keys, rows))
+        prepared.append((pt, table, probe))
+    return prepared
+
+
+def probed_stabilizer(f: RegularRepElement, probes: list) -> list:
+    """The points of hyperplane_probes(...) that fix f, in their order.
+
+    f's coefficients become residue vectors once; a point passes the probe
+    when every probed coefficient agrees with f's mod p, and only such
+    points get the full check translate(f, point, table) == f.
+    """
+    p = f.p
+    vectors = {a: _residues(f.coefficient(a))
+               for a in itertools.product(range(p), repeat=f.n)}
+    stacked: dict = {}
+    hits = []
+    for pt, table, probe in probes:
+        for tau, keys, rows in probe:
+            v = stacked.get(keys)
+            if v is None:
+                v = stacked[keys] = [x for a in keys for x in vectors[a]]
+            if [sum(map(operator.mul, row, v)) % p for row in rows] != vectors[tau]:
+                break
+        else:
+            if translate(f, pt, table) == f:
+                hits.append(pt)
+    return hits
+
+
 def free_locus_hyperplane_check(p, n, B, trials: int | None = None,
                                 seed: int = DEFAULT_SEED) -> FreeLocusReport:
     """Unit top coefficient forces a trivial stabilizer; test it.
@@ -478,40 +556,7 @@ def free_locus_hyperplane_check(p, n, B, trials: int | None = None,
     points = enumerate_action_points(p, n, B)
     monomials = list(itertools.product(range(p), repeat=n))
     top = (p - 1,) * n
-    zero = B.zero()
-
-    # Per nonzero point: the full expansion table plus, for each direction,
-    # the column computing the translated coefficient just below the top.
-    # A mismatch there proves the point moves f without a full translate;
-    # only probe-passing points get the complete (reported) check.
-    prepared = []
-    for pt in points:
-        if pt.is_zero():
-            continue
-        table = expansion_table(p, n, pt)
-        probe_cols = []
-        for i in range(n):
-            tau = tuple(p - 1 - (1 if j == i else 0) for j in range(n))
-            col = [(a, table[a][tau]) for a in monomials if tau in table[a]]
-            probe_cols.append((tau, col))
-        prepared.append((pt, table, probe_cols))
-
-    def nontrivial_stabilizer(f):
-        hits = []
-        for pt, table, probe_cols in prepared:
-            moved = False
-            for tau, col in probe_cols:
-                acc = zero
-                for a, factor in col:
-                    c = f.coefficients.get(a)
-                    if c is not None:
-                        acc = acc + c * factor
-                if acc != f.coefficient(tau):
-                    moved = True
-                    break
-            if not moved and translate(f, pt, table) == f:
-                hits.append(pt)
-        return hits
+    probes = hyperplane_probes(p, n, points)
 
     failures = []
     if trials is None:
@@ -528,7 +573,7 @@ def free_locus_hyperplane_check(p, n, B, trials: int | None = None,
                 continue
             f = RegularRepElement(p, n, B, coeffs)
             checked += 1
-            hits = nontrivial_stabilizer(f)
+            hits = probed_stabilizer(f, probes)
             if hits:
                 failures.append({"f": str(f), "stabilizer": [str(h) for h in hits]})
         return FreeLocusReport(p, n, describe_test_algebra(B), "exhaustive", checked, None,
@@ -539,7 +584,7 @@ def free_locus_hyperplane_check(p, n, B, trials: int | None = None,
         coeffs = {a: random_algebra_element(rng, B) for a in monomials}
         coeffs[top] = _random_unit(rng, B)
         f = RegularRepElement(p, n, B, coeffs)
-        hits = nontrivial_stabilizer(f)
+        hits = probed_stabilizer(f, probes)
         if hits:
             failures.append({"trial": k, "f": str(f), "stabilizer": [str(h) for h in hits]})
     return FreeLocusReport(p, n, describe_test_algebra(B), "random", trials, seed,

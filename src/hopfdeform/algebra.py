@@ -11,6 +11,7 @@ columns of base-ring elements.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import (
@@ -196,6 +197,12 @@ class MonomialQuotientAlgebra:
         self._reduce_cache[exps] = result
         return result
 
+    @functools.cached_property
+    def generators_nilpotent(self) -> bool:
+        """Whether every generator g has g^rank = 0; over a field the
+        algebra is then local, with the generators spanning its maximal ideal."""
+        return all((self.gen(i) ** self.rank).is_zero() for i in range(len(self.gens)))
+
     # -- structure ---------------------------------------------------------
 
     def tensor(self, other: "MonomialQuotientAlgebra") -> "MonomialQuotientAlgebra":
@@ -279,7 +286,7 @@ class AlgebraElement:
     def _check(self, other) -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             raise ParentMismatchError(f"cannot combine element with {type(other).__name__}")
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise ParentMismatchError("elements belong to different algebras")
         return other
 
@@ -348,7 +355,7 @@ class AlgebraElement:
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraElement)
-            and other.algebra == self.algebra
+            and (other.algebra is self.algebra or other.algebra == self.algebra)
             and other.coeffs == self.coeffs
         )
 

@@ -116,7 +116,8 @@ def _check_pipeline_prime(p: int, slow: bool) -> None:
             f"bounded at p <= {MAX_PIPELINE_PRIME}")
     if p > max(FAST_PRIMES) and not slow:
         raise UsageError(
-            f"p = {p} takes on the order of a minute; pass --slow to run it")
+            f"p = {p} is outside the default primes "
+            f"{', '.join(map(str, FAST_PRIMES))}; pass --slow to run it")
 
 
 _ALGEBRA_PATTERN = re.compile(r"^F(\d+)(?:\[([^\[\]]*)\]/\(([^()]*)\))?$")

@@ -15,8 +15,10 @@ from hopfdeform.action import (
     enumerate_elements,
     expansion_table,
     free_locus_hyperplane_check,
+    hyperplane_probes,
     is_action,
     is_unit_element,
+    probed_stabilizer,
     random_algebra_element,
     spanning_elements,
     stabilizer,
@@ -26,6 +28,7 @@ from hopfdeform.action import (
     universal_leading_coefficient_identity,
     zero_point,
 )
+from hopfdeform import action as action_module
 from hopfdeform.algebra import MonomialQuotientAlgebra
 from hopfdeform.errors import (
     ContextMismatchError,
@@ -275,6 +278,9 @@ class TestActionLaws:
     @pytest.mark.parametrize("p,n,B", MATRIX)
     def test_matrix_cell(self, p, n, B):
         assert is_action(p, n, B, max_pairs=150)
+        # the per-point tables give the verdict of table-free translation
+        assert is_action(p, n, B, translate_fn=lambda f, pt, table=None: translate(f, pt),
+                         max_pairs=150)
 
     def test_corrupted_translate_is_rejected(self):
         # drop the cross term of (x + b)^2 at p = 3
@@ -288,6 +294,20 @@ class TestActionLaws:
             return g - fix
 
         assert not is_action(3, 1, B, translate_fn=corrupted)
+
+    def test_sampled_pairs_build_tables_only_for_used_points(self, monkeypatch):
+        # 81 points, 6561 pairs: 5 sampled pairs touch at most 1 + 3 * 5 points
+        B = trunc_algebra(3, ("e", 3))
+        built = []
+
+        def counting_table(p, n, pt):
+            built.append(pt)
+            return expansion_table(p, n, pt)
+
+        monkeypatch.setattr(action_module, "expansion_table", counting_table)
+        assert is_action(3, 2, B, max_pairs=5)
+        assert len(built) == len(set(built)) <= 16
+        assert zero_point(B, 2) in built
 
     def test_spanning_set_size(self):
         B = trunc_algebra(2, ("e", 2))
@@ -339,6 +359,72 @@ class TestFreeLocus:
         assert is_unit_element(B.one() + B.gen(0))
         assert not is_unit_element(B.gen(0))
         assert not is_unit_element(B.zero())
+
+    def test_unit_detection_off_a_local_algebra(self):
+        # g^2 = g: F3[g]/(g^2 - g) is F3 x F3, and a + b*g is a unit iff
+        # a != 0 and a + b != 0, whatever the constant term says
+        F = PrimeField(3)
+        B = MonomialQuotientAlgebra(F, ("g",), (2,), [{(1,): F.one()}])
+        assert not B.generators_nilpotent
+        assert trunc_algebra(3, ("e", 3), ("d", 2)).generators_nilpotent
+        g = B.gen(0)
+        assert is_unit_element(B.one() + g)
+        assert not is_unit_element(B.one() + g + g)
+        assert not is_unit_element(g)
+        assert "generators_nilpotent" in vars(B)  # decided once per algebra
+
+
+class TestHyperplaneProbe:
+    CASES = [
+        (2, 1, trunc_algebra(2, ("e", 2))),
+        (2, 2, trunc_algebra(2, ("e", 2))),
+        (3, 1, trunc_algebra(3, ("e", 3))),
+        (2, 1, trunc_algebra(2, ("e", 2), ("d", 2))),
+        (2, 2, trunc_algebra(2, ("e", 2), ("d", 2))),
+    ]
+    IDS = [f"{p}-{n}-{describe_test_algebra(B)}" for p, n, B in CASES]
+
+    @staticmethod
+    def residues(c):
+        B = c.algebra
+        return [c.coefficient(exps).residue for exps in B.iter_basis()]
+
+    @pytest.mark.parametrize("p,n,B", CASES, ids=IDS)
+    def test_matrices_multiply_like_the_algebra(self, p, n, B):
+        rng = random.Random(31 * p + n)
+        probes = hyperplane_probes(p, n, enumerate_action_points(p, n, B))
+        assert len(probes) == len(enumerate_action_points(p, n, B)) - 1
+        for pt, table, probe in probes:
+            assert [tau for tau, _, _ in probe] == [
+                tuple(p - 1 - (j == i) for j in range(n)) for i in range(n)]
+            for tau, keys, rows in probe:
+                assert list(keys) == [a for a in table if tau in table[a]]
+                assert {len(row) for row in rows} == {B.rank * len(keys)}
+                for k, a in enumerate(keys):
+                    block = [row[k * B.rank:(k + 1) * B.rank] for row in rows]
+                    c = random_algebra_element(rng, B)
+                    got = [sum(m * x for m, x in zip(row, self.residues(c))) % p
+                           for row in block]
+                    assert got == self.residues(c * table[a][tau])
+
+    @pytest.mark.parametrize("p,n,B", CASES, ids=IDS)
+    def test_hits_match_the_stabilizer_oracle(self, p, n, B):
+        # a nilpotent top coefficient leaves room for nonzero fixing points
+        rng = random.Random(1000 * p + 10 * n + B.rank)
+        points = enumerate_action_points(p, n, B)
+        probes = hyperplane_probes(p, n, points)
+        nilpotents = [pt.coordinates[0] for pt in enumerate_action_points(p, 1, B)]
+        top = (p - 1,) * n
+        nontrivial = 0
+        for _ in range(12):
+            coeffs = {a: random_algebra_element(rng, B)
+                      for a in itertools.product(range(p), repeat=n)}
+            coeffs[top] = nilpotents[rng.randrange(len(nilpotents))]
+            f = RegularRepElement(p, n, B, coeffs)
+            oracle = [pt for pt in stabilizer(f) if not pt.is_zero()]
+            assert probed_stabilizer(f, probes) == oracle
+            nontrivial += bool(oracle)
+        assert nontrivial
 
 
 class TestSymbolicIdentity:

@@ -406,6 +406,16 @@ PINNED_JSON = [
      "7537f1fd3c055ccd9eb415a3a19ab62693227a064d7c6a5bb26775d8d01d0da0"),
     (["jump", "--gap", "5", "--degree", "4", "--bundle-dim", "0"], 0,
      "dcbfa1b5ff53d1c021653a943b72444281cb035eae63445e0aac43bc17a427b8"),
+    (["free-locus", "--p", "3", "--n", "2", "--test-algebra", "F3[e]/(e^2)",
+      "--trials", "1000", "--seed", "5"], 0,
+     "4bd5954343976df703c6be4021d321a8d749b39c1b23f4b7bc1f851e6982fd40"),
+    (["free-locus", "--p", "2", "--n", "1", "--test-algebra", "F2[e,d]/(e^2,d^2)"], 0,
+     "c06b513a9fd899b9ed9f9e38bcb88e2aedca8680e1a19502649754a7b3ab2eb7"),
+    (["free-locus", "--p", "5", "--n", "1", "--test-algebra", "F5[e]/(e^2)",
+      "--trials", "200", "--seed", "7"], 0,
+     "f5ada2314979dd1e83f4b4a9f4cd44e6deb0b9af1f01cedb8a410d00edafd5e1"),
+    (["free-locus", "--p", "3", "--n", "1", "--test-algebra", "F3[e]/(e^3)"], 0,
+     "2d8a29d292b1e56973fd8add6b6f476a69fc6a71d105d6f0c8ad53348131ce88"),
 ]
 
 
