@@ -16,7 +16,13 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from .algebra import AlgebraElement, MonomialQuotientAlgebra, invert_unit, multiplication_matrix
+from .algebra import (
+    AlgebraElement,
+    MonomialQuotientAlgebra,
+    _acc,
+    invert_unit,
+    multiplication_matrix,
+)
 from .errors import (
     ContextMismatchError,
     NonUnitError,
@@ -53,13 +59,12 @@ def _require_test_algebra(B):
 
 
 def _pth_power(elem: AlgebraElement) -> AlgebraElement:
-    # (sum c_m m)^p = sum c_m m^p in char p, and c^p = c over F_p
+    # (sum c_m m)^p = sum c_m m^p in char p, and c^p = c over F_p; the
+    # monomial's normal form rewrites the exponents p*e past the bounds
     A = elem.algebra
     p = A.ring.p
-    out = A.zero()
-    for exps, c in elem.coeffs.items():
-        out = out + A.monomial(exps, c) ** p
-    return out
+    return sum((A.monomial(tuple(p * e for e in exps), c) for exps, c in elem.coeffs.items()),
+               A.zero())
 
 
 class RegularRepElement:
@@ -69,21 +74,20 @@ class RegularRepElement:
 
     def __init__(self, p: int, n: int, coefficient_algebra, coefficients: dict):
         _require_test_algebra(coefficient_algebra)
-        p = Prime(p).p
-        if coefficient_algebra.ring.p != p:
-            raise ContextMismatchError(
-                f"test algebra lives over F_{coefficient_algebra.ring.p}, not F_{p}"
-            )
+        field_p = coefficient_algebra.ring.p
+        if type(p) is not int or p != field_p:
+            if Prime(p).p != field_p:
+                raise ContextMismatchError(f"test algebra lives over F_{field_p}, not F_{p}")
         clean = {}
         for exps, c in coefficients.items():
-            if len(exps) != n or any(e < 0 or e >= p for e in exps):
+            if len(exps) != n or any(e < 0 or e >= field_p for e in exps):
                 raise UnsupportedParametersError(f"exponent vector {exps} out of range")
             if not (isinstance(c, AlgebraElement)
                     and (c.algebra is coefficient_algebra or c.algebra == coefficient_algebra)):
                 raise ContextMismatchError("coefficients must lie in the test algebra")
             if not c.is_zero():
                 clean[tuple(exps)] = c
-        self.p = p
+        self.p = field_p
         self.n = n
         self.coefficient_algebra = coefficient_algebra
         self.coefficients = clean
@@ -109,24 +113,19 @@ class RegularRepElement:
         other = self._compatible(other)
         out = dict(self.coefficients)
         for exps, c in other.coefficients.items():
-            s = out.get(exps, self.coefficient_algebra.zero()) + c
-            if s.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = s
+            _acc(out, exps, c)
         return RegularRepElement(self.p, self.n, self.coefficient_algebra, out)
 
     def __sub__(self, other):
-        return self + other.scale(self.coefficient_algebra.scalar(
-            self.coefficient_algebra.ring.from_int(-1)))
+        other = self._compatible(other)
+        out = dict(self.coefficients)
+        for exps, c in other.coefficients.items():
+            _acc(out, exps, -c)
+        return RegularRepElement(self.p, self.n, self.coefficient_algebra, out)
 
     def scale(self, c: AlgebraElement) -> "RegularRepElement":
-        out = {}
-        for exps, v in self.coefficients.items():
-            w = c * v
-            if not w.is_zero():
-                out[exps] = w
-        return RegularRepElement(self.p, self.n, self.coefficient_algebra, out)
+        return RegularRepElement(self.p, self.n, self.coefficient_algebra,
+                                 {exps: c * v for exps, v in self.coefficients.items()})
 
     def __eq__(self, other):
         return (
@@ -184,7 +183,6 @@ class ActionPoint:
         if not coords:
             raise UnsupportedParametersError("a point needs at least one coordinate")
         B = coords[0].algebra
-        p = B.ring.p
         for c in coords:
             if not (isinstance(c, AlgebraElement) and c.algebra == B):
                 raise ContextMismatchError("point coordinates must share one test algebra")
@@ -231,7 +229,12 @@ def zero_point(B, n: int) -> ActionPoint:
 # translation
 
 
-def _point_powers(p: int, point: ActionPoint) -> list:
+def expansion_table(p: int, n: int, point: ActionPoint) -> dict:
+    """(x + b)^a for every x-monomial a, as {a: {exponent vector j: coefficient in B}}.
+
+    Expands each factor (x_i + b_i)^{a_i} binomially with coefficients
+    reduced mod p; b_i^p = 0 truncates automatically inside B.
+    """
     B = point.algebra
     pows = []
     for b in point.coordinates:
@@ -239,66 +242,35 @@ def _point_powers(p: int, point: ActionPoint) -> list:
         for _ in range(p - 1):
             row.append(row[-1] * b)
         pows.append(row)
-    return pows
-
-
-def monomial_expansion(p: int, a: tuple, point: ActionPoint, pows: list | None = None) -> dict:
-    """(x + b)^a as {exponent vector j: coefficient in B}.
-
-    Expands each factor (x_i + b_i)^{a_i} binomially with coefficients
-    reduced mod p; b_i^p = 0 truncates automatically inside B.
-    """
-    B = point.algebra
-    if pows is None:
-        pows = _point_powers(p, point)
-    out = {}
-    for j in itertools.product(*[range(ai + 1) for ai in a]):
-        coeff = 1
-        for ai, ji in zip(a, j):
-            coeff = coeff * binom_mod_p(ai, ji, p) % p
-        if not coeff:
-            continue
-        val = B.scalar(B.ring.from_int(coeff))
-        for i, (ai, ji) in enumerate(zip(a, j)):
-            if ai > ji:
-                val = val * pows[i][ai - ji]
-        if not val.is_zero():
-            out[j] = out.get(j, B.zero()) + val
-    return {j: v for j, v in out.items() if not v.is_zero()}
-
-
-def expansion_table(p: int, n: int, point: ActionPoint) -> dict:
-    """Translation of every monomial x^a by a fixed point, precomputed."""
-    pows = _point_powers(p, point)
-    return {
-        a: monomial_expansion(p, a, point, pows)
-        for a in itertools.product(range(p), repeat=n)
-    }
+    table = {}
+    for a in itertools.product(range(p), repeat=n):
+        out = table[a] = {}
+        for j in itertools.product(*[range(ai + 1) for ai in a]):
+            coeff = 1
+            for ai, ji in zip(a, j):
+                coeff = coeff * binom_mod_p(ai, ji, p) % p
+            if not coeff:
+                continue
+            val = B.scalar(B.ring.from_int(coeff))
+            for i, (ai, ji) in enumerate(zip(a, j)):
+                if ai > ji:
+                    val = val * pows[i][ai - ji]
+            _acc(out, j, val)
+    return table
 
 
 def translate(f: RegularRepElement, point: ActionPoint, table: dict | None = None) -> RegularRepElement:
-    """The action b . f = f(x + b)."""
+    """The action b . f = f(x + b); table is expansion_table(f.p, f.n, point),
+    built here when the caller has none."""
     if point.n != f.n or point.algebra != f.coefficient_algebra:
         raise ContextMismatchError("point and element live over different data")
-    B = f.coefficient_algebra
-    pows = None if table is not None else _point_powers(f.p, point)
+    if table is None:
+        table = expansion_table(f.p, f.n, point)
     out: dict = {}
     for a, c in f.coefficients.items():
-        expansion = table[a] if table is not None else monomial_expansion(f.p, a, point, pows)
-        for j, factor in expansion.items():
-            w = c * factor
-            if w.is_zero():
-                continue
-            s = out.get(j)
-            if s is None:
-                out[j] = w
-            else:
-                s = s + w
-                if s.is_zero():
-                    del out[j]
-                else:
-                    out[j] = s
-    return RegularRepElement(f.p, f.n, B, out)
+        for j, factor in table[a].items():
+            _acc(out, j, c * factor)
+    return RegularRepElement(f.p, f.n, f.coefficient_algebra, out)
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +308,10 @@ def enumerate_action_points(p: int, n: int, B) -> list:
     return [ActionPoint(coords) for coords in itertools.product(nilpotents, repeat=n)]
 
 
-def stabilizer(f: RegularRepElement, B=None) -> list:
+def stabilizer(f: RegularRepElement) -> list:
     """Action points fixing f, as a sublist of the full enumeration."""
-    if B is None:
-        B = f.coefficient_algebra
-    out = []
-    for pt in enumerate_action_points(f.p, f.n, B):
-        if translate(f, pt) == f:
-            out.append(pt)
-    return out
+    return [pt for pt in enumerate_action_points(f.p, f.n, f.coefficient_algebra)
+            if translate(f, pt) == f]
 
 
 # ---------------------------------------------------------------------------
@@ -697,20 +664,11 @@ def universal_leading_coefficient_identity(p: int, n: int) -> SymbolicIdentityCe
                                          exact, ok))
 
     # b_i^p = 0 caps every b-exponent at p - 1, so (b)^{n(p-1)+1} = 0.
+    # b_i = unit * residual_i with residual_i in (b)^2; once every b_j sits
+    # in (b)^m the residual sits in (b)^{2m} inside (b)^{m+1}, advancing the
+    # exponent from 1 until the ideal power vanishes.
     max_b_degree = n * (p - 1)
     bound = n * (p - 1) * (p - 1) + 1
-    steps = []
-    concluded = False
-    if all_ok:
-        # b_i = unit * residual_i with residual_i in (b)^2; once every b_j
-        # sits in (b)^m the residual sits in (b)^{2m} inside (b)^{m+1},
-        # advancing the exponent until the ideal power vanishes.
-        m = 1
-        while m <= max_b_degree and m < bound:
-            steps.append({"assume": m, "conclude": m + 1})
-            m += 1
-        concluded = m > max_b_degree
-
-    return SymbolicIdentityCertificate(
-        p, n, directions, bound, max_b_degree, steps, all_ok and concluded
-    )
+    steps = ([{"assume": m, "conclude": m + 1} for m in range(1, max_b_degree + 1)]
+             if all_ok else [])
+    return SymbolicIdentityCertificate(p, n, directions, bound, max_b_degree, steps, all_ok)

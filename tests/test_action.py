@@ -1,6 +1,7 @@
 """Tests for the translation action, stabilizers, and the free-locus identity."""
 
 import itertools
+import json
 import math
 import random
 
@@ -8,6 +9,7 @@ import pytest
 
 from hopfdeform.action import (
     ActionPoint,
+    _pth_power,
     DEFAULT_SEED,
     RegularRepElement,
     binom_mod_p,
@@ -29,6 +31,7 @@ from hopfdeform.action import (
     zero_point,
 )
 from hopfdeform import action as action_module
+from hopfdeform.cli import main
 from hopfdeform.algebra import MonomialQuotientAlgebra
 from hopfdeform.errors import (
     ContextMismatchError,
@@ -427,6 +430,23 @@ class TestHyperplaneProbe:
         assert nontrivial
 
 
+class TestFrobenius:
+    # _pth_power scales exponents by p and leaves the bounds to the normal
+    # form; repeated squaring is the oracle.  Over F3[u,v]/(u^3 - u - v,
+    # v^2 - v), u^2 goes to u^6: exponent twice the bound, through both rules.
+    F3 = PrimeField(3)
+    ALGEBRAS = {describe_test_algebra(B): B for _, _, B in TestActionLaws.MATRIX}
+    ALGEBRAS["F3[g]/(g^2-g)"] = MonomialQuotientAlgebra(F3, ("g",), (2,), [{(1,): F3.one()}])
+    ALGEBRAS["F3[u,v]/(u^3-u-v,v^2-v)"] = MonomialQuotientAlgebra(
+        F3, ("u", "v"), (3, 2), [{(1, 0): F3.one(), (0, 1): F3.one()}, {(0, 1): F3.one()}])
+
+    @pytest.mark.parametrize("B", ALGEBRAS.values(), ids=list(ALGEBRAS))
+    def test_matches_repeated_squaring(self, B):
+        p = B.ring.p
+        for c in enumerate_elements(B):
+            assert _pth_power(c) == c ** p, c
+
+
 class TestSymbolicIdentity:
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
     def test_identity_holds_exactly(self, p, n):
@@ -475,6 +495,36 @@ class TestSymbolicIdentity:
         with pytest.raises(GuardExceeded):
             universal_leading_coefficient_identity(3, 3)  # symbol count blows the rank cap
 
+    @staticmethod
+    def drop_cross_term(monkeypatch):
+        # the cross term 2*c2*b of (x + b)^2 at p = 3, n = 1, as in
+        # TestActionLaws.test_corrupted_translate_is_rejected
+        honest = action_module.translate
+
+        def corrupted(f, pt, table=None):
+            cross = f.coefficient((2,)) * pt.coordinates[0]
+            fix = RegularRepElement(3, 1, f.coefficient_algebra, {(1,): cross + cross})
+            return honest(f, pt, table) - fix
+
+        monkeypatch.setattr(action_module, "translate", corrupted)
+
+    def test_corrupted_translate_fails_the_certificate(self, monkeypatch):
+        self.drop_cross_term(monkeypatch)
+        cert = universal_leading_coefficient_identity(3, 1)
+        assert not cert.ok
+        assert not cert.directions[0].residual_in_b_squared_zero
+        assert cert.induction_steps == []
+        assert cert.to_dict()["passed"] is False
+
+    def test_corrupted_translate_fails_the_command(self, monkeypatch, capsys):
+        self.drop_cross_term(monkeypatch)
+        assert main(["--format", "json", "free-locus", "--p", "3", "--n", "1",
+                     "--test-algebra", "F3[e]/(e^2)"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["symbolic_identity"]["passed"] is False
+        assert doc["symbolic_identity"]["induction_steps"] == []
+        assert not doc["ok"]
+
     def test_certificate_serialization(self):
         d = universal_leading_coefficient_identity(2, 1).to_dict()
         assert d["passed"] is True
@@ -493,6 +543,26 @@ class TestElementBasics:
         C = trunc_algebra(3, ("e", 3))
         with pytest.raises(ContextMismatchError):
             RegularRepElement(2, 1, B, {(1,): C.one()})
+
+    @pytest.mark.parametrize("p,error", [(4, UnsupportedParametersError),
+                                         (3, ContextMismatchError),
+                                         (2.0, UnsupportedParametersError),
+                                         (True, UnsupportedParametersError)])
+    def test_rejected_primes(self, p, error):
+        B = trunc_algebra(2, ("e", 2))
+        with pytest.raises(error):
+            RegularRepElement(p, 1, B, {(1,): B.one()})
+
+    def test_matching_prime_skips_the_primality_test(self, monkeypatch):
+        B = trunc_algebra(2, ("e", 2))
+
+        def refuse(p):
+            raise AssertionError("Prime(p) ran for the field's own p")
+
+        monkeypatch.setattr(action_module, "Prime", refuse)
+        f = RegularRepElement(2, 1, B, {(1,): B.one()})
+        assert f.p is B.ring.p
+        assert f - f == RegularRepElement(2, 1, B, {})
 
     def test_string_form(self):
         B = trunc_algebra(2, ("e", 2))
