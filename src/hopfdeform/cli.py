@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import re
 import sys
 import time
+from collections.abc import Iterable
 
 from .action import (
     DEFAULT_SEED,
@@ -443,17 +445,22 @@ def run_cohomology_table(args):
         "rows": rows,
     }
 
-    lines = [f"classifying-stack dimensions for n <= {args.max_n}, "
+    title = (f"classifying-stack dimensions for n <= {args.max_n}, "
              f"degree <= {args.max_degree} ({args.fiber})",
              f"convolution crosscheck: {crosscheck_cells} cells, "
-             + ("all match" if ok else f"{len(mismatches)} MISMATCHES")]
+             + ("all match" if ok else f"{len(mismatches)} MISMATCHES"))
+    # Both renderings are generators: only the one the format asks for is built.
+    csv_rows = itertools.chain([("n", "i", "fiber", "dim")],
+                               ((r["n"], r["i"], r["fiber"], r["dim"]) for r in rows))
+    return (EXIT_OK if ok else EXIT_VERIFICATION), payload, _table_lines(title, rows), csv_rows
+
+
+def _table_lines(title, rows):
+    yield from title
     width = max(len(str(r["dim"])) for r in rows)
-    lines.append(f"  {'n':>3} {'i':>3} {'fiber':>8} {'dim':>{width + 2}}")
+    yield f"  {'n':>3} {'i':>3} {'fiber':>8} {'dim':>{width + 2}}"
     for r in rows:
-        lines.append(f"  {r['n']:>3} {r['i']:>3} {r['fiber']:>8} {r['dim']:>{width + 2}}")
-    csv_rows = [("n", "i", "fiber", "dim")] + [
-        (r["n"], r["i"], r["fiber"], r["dim"]) for r in rows]
-    return (EXIT_OK if ok else EXIT_VERIFICATION), payload, lines, csv_rows
+        yield f"  {r['n']:>3} {r['i']:>3} {r['fiber']:>8} {r['dim']:>{width + 2}}"
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +667,7 @@ def resolve_format(args) -> str:
     return env
 
 
-def render(fmt: str, payload: dict, lines: list, csv_rows) -> str:
+def render(fmt: str, payload: dict, lines: Iterable[str], csv_rows) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":

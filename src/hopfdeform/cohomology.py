@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import TruncationError, UnsupportedParametersError
@@ -81,17 +82,27 @@ def kunneth(s1: PoincareSeries, s2: PoincareSeries) -> PoincareSeries:
     """Cauchy convolution, truncated at the smaller of the two bounds."""
     a, b = s1.coefficients, s2.coefficients
     return PoincareSeries(
-        sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(min(len(a), len(b))))
+        sum(map(operator.mul, a[:i + 1], b[i::-1])) for i in range(min(len(a), len(b))))
 
 
 def kunneth_power(series: PoincareSeries, factors: int) -> PoincareSeries:
-    """Convolve a series with itself the given number of times (>= 1 factor)."""
+    """Convolve a series with itself the given number of times (>= 1 factor).
+
+    The power is built by repeated squaring: one square per binary digit of
+    `factors` after the first, and one product per further set digit.  Exact
+    integer convolution is associative, so the coefficients are those of
+    factors - 1 sequential products.
+    """
     if factors < 1:
         raise UnsupportedParametersError("need at least one tensor factor")
-    out = series
-    for _ in range(factors - 1):
-        out = kunneth(out, series)
-    return out
+    out, square = None, series
+    while True:
+        if factors & 1:
+            out = square if out is None else kunneth(out, square)
+        factors >>= 1
+        if not factors:
+            return out
+        square = kunneth(square, square)
 
 
 def dim_classifying(n: int, degree: int, fiber: Fiber) -> int:
@@ -312,8 +323,9 @@ def verify_binomial_vs_kunneth(n: int, max_degree: int) -> ConvolutionReport:
     """Cross-check dim_classifying against convolution of all-ones series.
 
     The convolution side never evaluates a binomial.  The generic column is the
-    n-fold Kunneth power of the single-factor series.  The special fiber has 2n
-    factors, so its column is the Kunneth square of the generic one.
+    n-fold Kunneth power of the single-factor series, built by repeated
+    squaring.  The special fiber has 2n factors, so its column is the Kunneth
+    square of the generic one.
     """
     if n < 1:
         raise UnsupportedParametersError("need at least one product factor")

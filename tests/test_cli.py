@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from hopfdeform import cli
+from hopfdeform import cli, cohomology
 from hopfdeform.cli import UsageError, main, parse_test_algebra
 
 STEP_NAMES = [
@@ -178,6 +178,36 @@ class TestCohomologyTable:
             assert int(got["i"]) == want["i"]
             assert got["fiber"] == want["fiber"]
             assert int(got["dim"]) == want["dim"]
+
+    def test_crosscheck_reports_a_corrupted_cell(self, capsys, monkeypatch):
+        # Off by one in the special column of n = 3, degree 5 only: that column is
+        # the Kunneth square of the generic 3-fold power, the one square whose
+        # factors have degree-1 entry 3 (every other square has a power of two).
+        original = cohomology.kunneth
+
+        def corrupted(s1, s2):
+            out = original(s1, s2)
+            if s1 == s2 and s1[1] == 3:
+                coeffs = list(out.coefficients)
+                coeffs[5] += 1
+                out = cohomology.PoincareSeries(coeffs)
+            return out
+
+        monkeypatch.setattr(cohomology, "kunneth", corrupted)
+        monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
+        args = ["cohomology-table", "--max-n", "4", "--max-degree", "6"]
+        code, payload = run_json(capsys, args)
+        assert code == 1
+        assert payload["crosscheck"]["ok"] is False
+        assert payload["crosscheck"]["cells"] == 4 * 2 * 7
+        assert payload["crosscheck"]["mismatches"] == [
+            {"n": 3, "i": 5, "fiber": "special", "convolution": 253, "binomial": 252}]
+        # the table itself comes from the closed forms and is not affected
+        assert {r["dim"] for r in payload["rows"]
+                if (r["n"], r["i"], r["fiber"]) == (3, 5, "special")} == {252}
+        assert main(args) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "convolution crosscheck: 56 cells, 1 MISMATCHES"
 
     def test_guards(self, capsys):
         assert main(["cohomology-table", "--max-n", "33"]) == 3
@@ -419,10 +449,28 @@ PINNED_JSON = [
 ]
 
 
+# Exit code and sha256 of the stdout of the table renderings that PINNED_JSON
+# does not cover; the rows are formatted lazily and must stay byte-identical.
+PINNED_RENDERINGS = [
+    (["cohomology-table", "--max-n", "20", "--max-degree", "120"], 0,
+     "505ea7bb0be194e3dbeaac3f248183f175980d772e4d62809ebb6c7c0a434942"),
+    (["--format", "csv", "cohomology-table", "--max-n", "20", "--max-degree", "120"], 0,
+     "51c5d4cc9625b24edb3b893a749f9b60f68f16e4bb30a10301a9e675c05e34a5"),
+]
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("argv,code,digest", PINNED_JSON,
                              ids=[" ".join(argv) for argv, _, _ in PINNED_JSON])
     def test_json_stdout_digest(self, capsys, argv, code, digest):
         assert main(["--format", "json"] + argv) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,code,digest", PINNED_RENDERINGS,
+                             ids=[" ".join(argv) for argv, _, _ in PINNED_RENDERINGS])
+    def test_table_rendering_digest(self, capsys, monkeypatch, argv, code, digest):
+        monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
+        assert main(argv) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest

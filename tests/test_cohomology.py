@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from hopfdeform import cohomology
 from hopfdeform.cohomology import (
     JumpQuery,
     PoincareSeries,
@@ -127,6 +128,62 @@ class TestKunneth:
     def test_power_needs_a_factor(self):
         with pytest.raises(UnsupportedParametersError):
             kunneth_power(series_alpha_p(3), 0)
+
+
+def textbook_convolution(a, b):
+    """The truncated Cauchy product as the double sum over j <= i."""
+    return [sum(a[j] * b[i - j] for j in range(i + 1))
+            for i in range(min(len(a), len(b)))]
+
+
+class TestKernelOracles:
+    def test_kunneth_is_the_double_sum(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            a = random_series(rng, rng.randrange(25), cap=rng.choice((1, 9, 10**6)))
+            b = random_series(rng, rng.randrange(25), cap=rng.choice((1, 9, 10**6)))
+            assert list(kunneth(a, b).coefficients) == textbook_convolution(
+                a.coefficients, b.coefficients)
+
+    def test_kunneth_of_single_entries(self):
+        assert kunneth(PoincareSeries([3]), PoincareSeries([5, 7])) == PoincareSeries([15])
+        assert kunneth(PoincareSeries([2, 1]), PoincareSeries([4])) == PoincareSeries([8])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_power_is_repeated_kunneth(self, seed):
+        # k = 1..40 covers every power of two up to 32 and every 2^m - 1 up to 31
+        rng = random.Random(seed)
+        series = random_series(rng, 12, cap=3)
+        expected = series
+        for k in range(1, 41):
+            assert kunneth_power(series, k) == expected, k
+            expected = kunneth(expected, series)
+
+    def test_power_keeps_the_truncation(self):
+        assert kunneth_power(series_alpha_p(7), 13).max_degree == 7
+
+    @pytest.mark.parametrize("factors", [0, -1, -8])
+    def test_power_refuses_nonpositive_factors(self, factors):
+        with pytest.raises(UnsupportedParametersError):
+            kunneth_power(series_alpha_p(3), factors)
+
+    def test_convolution_side_evaluates_no_binomial(self, monkeypatch):
+        calls = []
+        original = cohomology.dim_classifying
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cohomology, "dim_classifying", counted)
+        kunneth_power(series_alpha_p(20), 23)
+        kunneth(series_alpha_p(20), series_alpha_p(20))
+        assert calls == []
+        # the crosscheck evaluates each binomial once, for its binomial side only
+        report = verify_binomial_vs_kunneth(11, 20)
+        assert report.ok
+        assert sorted(calls, key=repr) == sorted(
+            ((11, e.degree, e.fiber) for e in report.entries), key=repr)
 
 
 class TestDimensions:
