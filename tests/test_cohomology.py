@@ -160,7 +160,7 @@ class TestKernelOracles:
             expected = kunneth(expected, series)
 
     @pytest.mark.parametrize("factors", [-1, -8])
-    def test_power_refuses_nonpositive_factors(self, factors):
+    def test_power_refuses_negative_factors(self, factors):
         with pytest.raises(UnsupportedParametersError):
             kunneth_power(series_alpha_p(3), factors)
 
