@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
 
 from .algebra import (
     AlgebraElement,
@@ -414,16 +413,19 @@ def describe_test_algebra(B) -> str:
     return f"F{B.ring.p}[{', '.join(B.gens)}]/({rels})"
 
 
-@dataclass
 class FreeLocusReport:
-    p: int
-    n: int
-    algebra: str
-    mode: str
-    trials: int
-    seed: int | None
-    points: int
-    failures: list = field(default_factory=list)
+    __slots__ = ("p", "n", "algebra", "mode", "trials", "seed", "points", "failures")
+
+    def __init__(self, p: int, n: int, algebra: str, mode: str, trials: int,
+                 seed: int | None, points: int, failures: list | None = None):
+        self.p = p
+        self.n = n
+        self.algebra = algebra
+        self.mode = mode
+        self.trials = trials
+        self.seed = seed
+        self.points = points
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -587,25 +589,33 @@ def _b_degree(exps, n: int) -> int:
     return sum(exps[-n:])
 
 
-@dataclass
 class DirectionCheck:
-    index: int
-    monomial: tuple
-    extracted: str
-    expected: str
-    exact: bool
-    residual_in_b_squared_zero: bool
+    __slots__ = ("index", "monomial", "extracted", "expected", "exact",
+                 "residual_in_b_squared_zero")
+
+    def __init__(self, index: int, monomial: tuple, extracted: str, expected: str,
+                 exact: bool, residual_in_b_squared_zero: bool):
+        self.index = index
+        self.monomial = monomial
+        self.extracted = extracted
+        self.expected = expected
+        self.exact = exact
+        self.residual_in_b_squared_zero = residual_in_b_squared_zero
 
 
-@dataclass
 class SymbolicIdentityCertificate:
-    p: int
-    n: int
-    directions: list
-    nilpotency_bound: int
-    max_b_degree: int
-    induction_steps: list
-    ok: bool
+    __slots__ = ("p", "n", "directions", "nilpotency_bound", "max_b_degree",
+                 "induction_steps", "ok")
+
+    def __init__(self, p: int, n: int, directions: list, nilpotency_bound: int,
+                 max_b_degree: int, induction_steps: list, ok: bool):
+        self.p = p
+        self.n = n
+        self.directions = directions
+        self.nilpotency_bound = nilpotency_bound
+        self.max_b_degree = max_b_degree
+        self.induction_steps = induction_steps
+        self.ok = ok
 
     def to_dict(self) -> dict:
         return {

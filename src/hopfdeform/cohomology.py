@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import TruncationError, UnsupportedParametersError
 from .rings import Fiber
@@ -153,21 +152,21 @@ def projective_bundle_dim(series: PoincareSeries, bundle_dim: int, degree: int) 
                for j in range(min(bundle_dim, degree // 2) + 1))
 
 
-@dataclass(frozen=True)
 class JumpQuery:
     """A requested dimension gap in a fixed cohomological degree."""
 
-    gap: int
-    degree: int
-    bundle_dim: int | None = None
+    __slots__ = ("gap", "degree", "bundle_dim")
 
-    def __post_init__(self):
-        if self.gap < 1:
+    def __init__(self, gap: int, degree: int, bundle_dim: int | None = None):
+        if gap < 1:
             raise UnsupportedParametersError("requested gap must be >= 1")
-        if self.degree < 1:
+        if degree < 1:
             raise UnsupportedParametersError("jump degree must be >= 1")
-        if self.bundle_dim is not None and self.bundle_dim < 0:
+        if bundle_dim is not None and bundle_dim < 0:
             raise UnsupportedParametersError("bundle dimension must be >= 0")
+        self.gap = gap
+        self.degree = degree
+        self.bundle_dim = bundle_dim
 
 
 def minimal_n_for_jump(query: JumpQuery) -> int:
@@ -197,20 +196,21 @@ def fiber_jump(n: int, degree: int, bundle_dim: int | None = None) -> int:
     return jump_certificate(n, degree, bundle_dim).jump
 
 
-@dataclass(frozen=True)
 class JumpTerm:
     """One even-shift summand: both fiber dimensions in a single degree."""
 
-    degree: int
-    special: int
-    generic: int
+    __slots__ = ("degree", "special", "generic")
+
+    def __init__(self, degree: int, special: int, generic: int):
+        self.degree = degree
+        self.special = special
+        self.generic = generic
 
     @property
     def dominated(self) -> bool:
         return self.special >= self.generic
 
 
-@dataclass(frozen=True)
 class JumpCertificate:
     """Termwise comparison of the two projective-bundle sums.
 
@@ -219,10 +219,13 @@ class JumpCertificate:
     dimension dominates the generic one in each of them.
     """
 
-    n: int
-    degree: int
-    bundle_dim: int
-    terms: tuple[JumpTerm, ...]
+    __slots__ = ("n", "degree", "bundle_dim", "terms")
+
+    def __init__(self, n: int, degree: int, bundle_dim: int, terms: tuple[JumpTerm, ...]):
+        self.n = n
+        self.degree = degree
+        self.bundle_dim = bundle_dim
+        self.terms = terms
 
     @property
     def special_total(self) -> int:
@@ -276,25 +279,29 @@ def jump_certificate(n: int, degree: int, bundle_dim: int | None = None) -> Jump
     return JumpCertificate(n, degree, bundle_dim, terms)
 
 
-@dataclass(frozen=True)
 class ConvolutionCheck:
-    fiber: Fiber
-    degree: int
-    convolution: int
-    binomial: int
+    __slots__ = ("fiber", "degree", "convolution", "binomial")
+
+    def __init__(self, fiber: Fiber, degree: int, convolution: int, binomial: int):
+        self.fiber = fiber
+        self.degree = degree
+        self.convolution = convolution
+        self.binomial = binomial
 
     @property
     def match(self) -> bool:
         return self.convolution == self.binomial
 
 
-@dataclass(frozen=True)
 class ConvolutionReport:
     """Closed-form binomials checked against an independent convolution build."""
 
-    n: int
-    max_degree: int
-    entries: tuple[ConvolutionCheck, ...]
+    __slots__ = ("n", "max_degree", "entries")
+
+    def __init__(self, n: int, max_degree: int, entries: tuple[ConvolutionCheck, ...]):
+        self.n = n
+        self.max_degree = max_degree
+        self.entries = entries
 
     @property
     def ok(self) -> bool:

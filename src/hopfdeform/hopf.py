@@ -21,7 +21,6 @@ generic fiber is multiplicative of order p^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .algebra import (
     AlgebraElement,
@@ -250,17 +249,22 @@ def as_structure(h) -> HopfAlgebra:
 # axiom verification
 
 
-@dataclass
 class AxiomCheck:
-    name: str
-    passed: bool
-    required: bool = True
-    detail: str | None = None
+    __slots__ = ("name", "passed", "required", "detail")
+
+    def __init__(self, name: str, passed: bool, required: bool = True,
+                 detail: str | None = None):
+        self.name = name
+        self.passed = passed
+        self.required = required
+        self.detail = detail
 
 
-@dataclass
 class AxiomReport:
-    checks: list[AxiomCheck] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[AxiomCheck] | None = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:
@@ -446,13 +450,15 @@ def specialize_linear_map(m: LinearMap, fiber: Fiber) -> LinearMap:
 # catalog of comparison objects
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    p: int
-    k: int
-    fiber: Fiber
-    hopf: object  # HopfPresentation or HopfAlgebra
+    __slots__ = ("name", "p", "k", "fiber", "hopf")
+
+    def __init__(self, name: str, p: int, k: int, fiber: Fiber, hopf: object):
+        self.name = name
+        self.p = p
+        self.k = k
+        self.fiber = fiber
+        self.hopf = hopf  # HopfPresentation or HopfAlgebra
 
     @property
     def order(self) -> int:
@@ -617,16 +623,20 @@ def _dual_label(label: str) -> str:
 # exhibited isomorphisms
 
 
-@dataclass
 class IsoCheck:
-    name: str
-    passed: bool
-    detail: str | None = None
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str | None = None):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class IsoReport:
-    checks: list[IsoCheck] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[IsoCheck] | None = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import (
     ContextMismatchError,
@@ -37,20 +36,19 @@ def is_prime(m: int) -> bool:
     return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
 
 
-@dataclass(frozen=True)
 class Prime:
     """A validated small prime.  Desk-scale computations only: p <= 7."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        p = self.p
+    def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
             raise UnsupportedParametersError(f"p must be an integer >= 2, got {p!r}")
         if not is_prime(p):
             raise UnsupportedParametersError(f"p = {p} is not prime")
         if p > 7:
             raise UnsupportedParametersError(f"p = {p} exceeds the supported bound p <= 7")
+        self.p = p
 
 
 class Fiber(enum.Enum):

@@ -9,6 +9,9 @@ import pytest
 
 from hopfdeform.action import (
     ActionPoint,
+    DirectionCheck,
+    FreeLocusReport,
+    SymbolicIdentityCertificate,
     _pth_power,
     DEFAULT_SEED,
     RegularRepElement,
@@ -375,6 +378,39 @@ class TestFreeLocus:
         assert not is_unit_element(B.one() + g + g)
         assert not is_unit_element(g)
         assert "generators_nilpotent" in vars(B)  # decided once per algebra
+
+
+class TestReportConstructors:
+    """The free-locus and identity records keep their positional order and
+    defaults, and each report gets a failure list of its own."""
+
+    def test_free_locus_report_defaults(self):
+        r = FreeLocusReport(2, 1, "F2", "exhaustive", 2, None, 2)
+        assert (r.p, r.n, r.algebra, r.mode, r.trials, r.seed, r.points) == (
+            2, 1, "F2", "exhaustive", 2, None, 2)
+        assert r.failures == [] and r.ok
+        kw = FreeLocusReport(p=3, n=1, algebra="F3", mode="random", trials=5, seed=7,
+                             points=3, failures=["x"])
+        assert (kw.seed, kw.failures, kw.ok) == (7, ["x"], False)
+
+    def test_default_failures_are_not_shared(self):
+        args = (2, 1, "F2", "exhaustive", 2, None, 2)
+        a, b = FreeLocusReport(*args), FreeLocusReport(*args)
+        assert a.failures is not b.failures
+        a.failures.append("x")
+        assert b.failures == [] and FreeLocusReport(*args).failures == []
+
+    def test_symbolic_certificate_fields(self):
+        d = DirectionCheck(1, (1,), "b", "b", True, True)
+        assert (d.index, d.monomial, d.extracted, d.expected, d.exact,
+                d.residual_in_b_squared_zero) == (1, (1,), "b", "b", True, True)
+        cert = SymbolicIdentityCertificate(2, 1, [d], 2, 1, ["step"], True)
+        assert (cert.p, cert.n, cert.directions, cert.nilpotency_bound,
+                cert.max_b_degree, cert.induction_steps, cert.ok) == (
+            2, 1, [d], 2, 1, ["step"], True)
+        kw = SymbolicIdentityCertificate(p=2, n=1, directions=[], nilpotency_bound=2,
+                                         max_b_degree=0, induction_steps=[], ok=False)
+        assert kw.to_dict()["passed"] is False
 
 
 class TestHyperplaneProbe:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -377,6 +378,17 @@ class TestPlumbing:
                          "--test-algebra", "F2[e]/(e^2)"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_import_leaves_out_dataclasses_and_inspect(self):
+        # A fresh interpreter, with -S so that no site .pth file preloads a
+        # module and -E so that no environment variable adds one.
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import hopfdeform.cli; "
+                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-E", "-c", probe, src],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_console_script(self):
         proc = subprocess.run(

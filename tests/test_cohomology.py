@@ -12,7 +12,11 @@ import pytest
 
 from hopfdeform import cohomology
 from hopfdeform.cohomology import (
+    ConvolutionCheck,
+    ConvolutionReport,
+    JumpCertificate,
     JumpQuery,
+    JumpTerm,
     PoincareSeries,
     classifying_series,
     dim_classifying,
@@ -304,6 +308,45 @@ class TestJumpSolver:
                 n = minimal_n_for_jump(JumpQuery(e, i))
                 assert n >= previous
                 previous = n
+
+
+class TestRecordConstructors:
+    """The query and certificate records keep their positional order, defaults
+    and validation texts."""
+
+    def test_jump_query_defaults(self):
+        q = JumpQuery(5, 2)
+        assert (q.gap, q.degree, q.bundle_dim) == (5, 2, None)
+        q = JumpQuery(gap=5, degree=2, bundle_dim=0)
+        assert (q.gap, q.degree, q.bundle_dim) == (5, 2, 0)
+
+    @pytest.mark.parametrize("args,text", [
+        ((0, 1), "requested gap must be >= 1"),
+        ((1, 0), "jump degree must be >= 1"),
+        ((1, 1, -1), "bundle dimension must be >= 0"),
+    ])
+    def test_jump_query_error_texts(self, args, text):
+        with pytest.raises(UnsupportedParametersError) as exc:
+            JumpQuery(*args)
+        assert str(exc.value) == text
+
+    def test_jump_certificate_fields(self):
+        terms = (JumpTerm(3, 10, 4), JumpTerm(degree=1, special=4, generic=2))
+        assert (terms[1].degree, terms[1].special, terms[1].generic) == (1, 4, 2)
+        cert = JumpCertificate(2, 3, 1, terms)
+        assert (cert.n, cert.degree, cert.bundle_dim, cert.terms) == (2, 3, 1, terms)
+        assert (cert.special_total, cert.generic_total, cert.jump, cert.ok) == (14, 6, 8, True)
+        assert JumpCertificate(n=2, degree=3, bundle_dim=1, terms=terms).jump == 8
+
+    def test_convolution_report_fields(self):
+        good = ConvolutionCheck(Fiber.GENERIC, 2, 3, 3)
+        bad = ConvolutionCheck(fiber=Fiber.SPECIAL, degree=2, convolution=4, binomial=5)
+        assert (bad.fiber, bad.degree, bad.convolution, bad.binomial) == (
+            Fiber.SPECIAL, 2, 4, 5)
+        report = ConvolutionReport(1, 2, (good, bad))
+        assert (report.n, report.max_degree, report.entries) == (1, 2, (good, bad))
+        assert not report.ok and report.mismatches() == [bad]
+        assert ConvolutionReport(n=1, max_degree=2, entries=(good,)).ok
 
 
 class TestFiberJump:

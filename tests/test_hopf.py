@@ -18,7 +18,12 @@ from hopfdeform.errors import (
     UnsupportedParametersError,
 )
 from hopfdeform.hopf import (
+    AxiomCheck,
+    AxiomReport,
+    CatalogEntry,
     HopfAlgebra,
+    IsoCheck,
+    IsoReport,
     MUTATIONS,
     alpha_self_duality,
     as_structure,
@@ -720,6 +725,43 @@ class TestSerialization:
         a = presentation_to_json(deformation_hopf(3))
         b = presentation_to_json(deformation_hopf(3))
         assert a == b
+
+
+class TestReportConstructors:
+    """The report records keep their positional order and defaults, and each
+    report gets a list of checks of its own."""
+
+    def test_axiom_check_defaults(self):
+        c = AxiomCheck("n", True)
+        assert (c.name, c.passed, c.required, c.detail) == ("n", True, True, None)
+        c = AxiomCheck("n", False, False, "x")
+        assert (c.required, c.detail) == (False, "x")
+        c = AxiomCheck(name="n", passed=False, detail="y")
+        assert (c.required, c.detail) == (True, "y")
+
+    def test_iso_check_defaults(self):
+        c = IsoCheck("n", True)
+        assert (c.name, c.passed, c.detail) == ("n", True, None)
+        assert IsoCheck(name="n", passed=False, detail="x").detail == "x"
+
+    @pytest.mark.parametrize("report_cls", [AxiomReport, IsoReport])
+    def test_default_checks_are_not_shared(self, report_cls):
+        a, b = report_cls(), report_cls()
+        assert a.checks == [] and a.checks is not b.checks
+        a.checks.append(object())
+        assert b.checks == [] and report_cls().checks == []
+        given = [IsoCheck("n", True)]
+        assert report_cls(given).checks is given
+        assert report_cls(checks=given).checks is given
+
+    def test_catalog_entry_fields(self):
+        h = object()
+        entry = CatalogEntry("mu", 3, 2, Fiber.GENERIC, h)
+        assert (entry.name, entry.p, entry.k, entry.fiber, entry.hopf) == (
+            "mu", 3, 2, Fiber.GENERIC, h)
+        assert entry.order == 9
+        entry = CatalogEntry(name="alpha_p", p=2, k=1, fiber=Fiber.SPECIAL, hopf=h)
+        assert entry.order == 2
 
 
 class TestReportOracle:

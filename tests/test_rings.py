@@ -62,6 +62,20 @@ class TestPrime:
             with pytest.raises(UnsupportedParametersError):
                 Prime(bad)
 
+    @pytest.mark.parametrize("bad,text", [
+        ("3", "p must be an integer >= 2, got '3'"),
+        (1, "p must be an integer >= 2, got 1"),
+        (9, "p = 9 is not prime"),
+        (11, "p = 11 exceeds the supported bound p <= 7"),
+    ])
+    def test_error_texts(self, bad, text):
+        with pytest.raises(UnsupportedParametersError) as exc:
+            Prime(bad)
+        assert str(exc.value) == text
+
+    def test_keyword_construction(self):
+        assert Prime(p=5).p == 5
+
     def test_is_prime(self):
         assert [m for m in range(-2, 30) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
