@@ -13,12 +13,12 @@ import argparse
 import csv
 import io
 import itertools
-import json
 import os
 import re
 import sys
 import time
 from collections.abc import Iterable
+from json.encoder import encode_basestring_ascii
 
 from .action import (
     DEFAULT_SEED,
@@ -669,13 +669,68 @@ def resolve_format(args) -> str:
 
 def render(fmt: str, payload: dict, lines: Iterable[str], csv_rows) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json_text(payload, "\n", {}) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(csv_rows)
         return buf.getvalue()
     return "\n".join(lines) + "\n"
+
+
+# Encoders of the scalars a payload holds, by exact type.
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, newline: str, heads: dict) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for what the
+    commands put in a payload: dicts with str keys, lists, tuples, str, int,
+    True, False and None.  Anything else is a TypeError.
+
+    The indented form of json.dumps runs in the pure-Python encoder; this
+    writer emits the same text with less work per value.  newline is the
+    line break and indentation in front of the value's closing bracket, and
+    heads maps each key seen so far to its encoded '"key": ' prefix.
+    """
+    encode = _JSON_SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        out = []
+        for key in sorted(value):
+            head = heads.get(key)
+            if head is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                head = heads[key] = encode_basestring_ascii(key) + ": "
+            item = value[key]
+            encode = _JSON_SCALARS.get(type(item))
+            out.append(head + (encode(item) if encode is not None
+                               else _json_text(item, inner, heads)))
+        return "{" + inner + ("," + inner).join(out) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        out = []
+        for item in value:
+            encode = _JSON_SCALARS.get(type(item))
+            out.append(encode(item) if encode is not None else _json_text(item, inner, heads))
+        return "[" + inner + ("," + inner).join(out) + newline + "]"
+    # Subclasses of str and int, which json.dumps also accepts.
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def main(argv=None) -> int:

@@ -49,7 +49,15 @@ from .errors import (
     ParentMismatchError,
     UnsupportedParametersError,
 )
-from .rings import Fiber, FunctionField, LocalRing, Prime, PrimeField, specialize_scalar
+from .rings import (
+    Fiber,
+    FpElement,
+    FunctionField,
+    LocalRing,
+    Prime,
+    PrimeField,
+    specialize_scalar,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +303,10 @@ def verify_axioms(h) -> AxiomReport:
 
     Each identity compares two composites of the structure maps on basis
     elements (or pairs of them).  Cocommutativity is reported but not required.
+    A structure whose constants all lie in F_p is checked over F_p.
     """
     s = as_structure(h)
+    s = _over_prime_field(s) or s
     r = s.rank
     m, unit, d, eps, S = s.mult_col, s.unit, s.comul.cols, s.counit.cols, s.antipode.cols
     one = s.ring.one()
@@ -329,6 +339,54 @@ def verify_axioms(h) -> AxiomReport:
     record("comultiplication is cocommutative",
            _first_label(s, lambda k: _is_flip_asymmetric(d[k], r)), required=False)
     return report
+
+
+def _over_prime_field(s: HopfAlgebra) -> HopfAlgebra | None:
+    """The same structure over F_p, when every structure constant of s is a
+    constant of F_p(t) or F_p[t]_(t); None otherwise, or over any other ring.
+
+    F_p -> R is injective, so base change along it preserves and reflects
+    every identity the checkers compare (Waterhouse, Introduction to Affine
+    Group Schemes, ch. 1-2): a check over F_p gives the report it gives over
+    R, offenders included.  The scan stops at the first scalar that is not
+    a constant.
+    """
+    if not isinstance(s.ring, (FunctionField, LocalRing)):
+        return None
+    field = PrimeField(s.ring.p)
+    maps = []
+    for m in (s.mult, s.comul, s.counit, s.antipode):
+        m = _map_over_prime_field(m, field)
+        if m is None:
+            return None
+        maps.append(m)
+    unit = _vec_over_prime_field(s.unit, field.p)
+    if unit is None:
+        return None
+    mult, comul, counit, antipode = maps
+    return HopfAlgebra(field, s.labels, mult, unit, comul, counit, antipode)
+
+
+def _map_over_prime_field(m: LinearMap, field: PrimeField) -> LinearMap | None:
+    cols = []
+    for col in m.cols:
+        col = _vec_over_prime_field(col, field.p)
+        if col is None:
+            return None
+        cols.append(col)
+    return LinearMap(field, m.source_dim, m.target_dim, cols)
+
+
+def _vec_over_prime_field(vec: dict, p: int) -> dict | None:
+    """vec with each constant c/1 of F_p(t) or F_p[t]_(t) as c in F_p; None at
+    the first entry that is not such a constant."""
+    out = {}
+    for i, c in vec.items():
+        num = c.num.coeffs
+        if len(num) > 1 or c.den.coeffs != (1,):
+            return None
+        out[i] = FpElement(num[0] if num else 0, p)
+    return out
 
 
 def _first_label(s: HopfAlgebra, differs) -> str | None:
@@ -694,6 +752,9 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
         record("map is invertible", False, str(exc))
         return report
 
+    # Descend only now: the ring check and the invertibility detail above
+    # name the rings the caller passed.
+    s1, s2, phi = _iso_over_prime_field(s1, s2, phi) or (s1, s2, phi)
     record("unit preserved", phi.apply(s1.unit) == s2.unit)
     checks = (
         ("multiplication preserved", _first_pair(
@@ -708,6 +769,23 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
     for name, offender in checks:
         record(name, offender is None, offender)
     return report
+
+
+def _iso_over_prime_field(s1: HopfAlgebra, s2: HopfAlgebra, phi: LinearMap):
+    """(s1, s2, phi) over F_p when all three are t-free over the one ring
+    they share, else None."""
+    if phi.ring != s1.ring:
+        return None
+    d1 = _over_prime_field(s1)
+    if d1 is None:
+        return None
+    d2 = _over_prime_field(s2)
+    if d2 is None:
+        return None
+    dphi = _map_over_prime_field(phi, d1.ring)
+    if dphi is None:
+        return None
+    return d1, d2, dphi
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,17 @@ class FpElement:
         return other
 
     def __add__(self, other):
+        p = self.p
+        if type(other) is FpElement and other.p == p:
+            # Same-field operand: build the reduced result directly.
+            out = object.__new__(FpElement)
+            out.p = p
+            out.residue = (self.residue + other.residue) % p
+            return out
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return FpElement(self.residue + other.residue, self.p)
+        return FpElement(self.residue + other.residue, p)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -89,10 +96,16 @@ class FpElement:
         return FpElement(self.residue - other.residue, self.p)
 
     def __mul__(self, other):
+        p = self.p
+        if type(other) is FpElement and other.p == p:
+            out = object.__new__(FpElement)
+            out.p = p
+            out.residue = self.residue * other.residue % p
+            return out
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return FpElement(self.residue * other.residue, self.p)
+        return FpElement(self.residue * other.residue, p)
 
     def __neg__(self):
         return FpElement(-self.residue, self.p)

@@ -1,10 +1,12 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
 import csv
+import enum
 import hashlib
 import io
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -389,6 +391,50 @@ class TestPlumbing:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    @staticmethod
+    def random_payload(rng, depth=0):
+        """A seeded nest of the values a payload may hold."""
+        kind = rng.randrange(9 if depth < 4 else 6)
+        if kind == 0:
+            return None
+        if kind == 1:
+            return rng.choice([True, False])
+        if kind == 2:
+            return rng.choice([0, -1, 7, -(10**25), 2**64, rng.randrange(-10**6, 10**6)])
+        if kind < 6:
+            return "".join(rng.choice('aZ09 "\\/\n\t\x00\x7fé⊗𝔽') for _ in range(rng.randrange(6)))
+        if kind == 6:
+            return {rng.choice(["", "é", "A", "b", "0"]) + str(i):
+                    TestPlumbing.random_payload(rng, depth + 1)
+                    for i in range(rng.randrange(5))}
+        items = [TestPlumbing.random_payload(rng, depth + 1) for _ in range(rng.randrange(5))]
+        return items if kind == 7 else tuple(items)
+
+    def test_json_writer_matches_json_dumps(self):
+        class Tag(str):
+            pass
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        class Count(int):
+            def __repr__(self):
+                return "Count()"
+
+        rng = random.Random(2026)
+        payloads = [self.random_payload(rng) for _ in range(400)]
+        payloads += [{}, [], (), {"a": {}, "b": [[], {}]}, {Tag("k"): [Tag("v"), Level.HIGH, Count(4)]},
+                     {"z": 1, "Z": 2, "é": 3, "": 4, "10": 5, "9": 6}]
+        for payload in payloads:
+            want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            assert cli.render("json", payload, [], None) == want
+
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), {1: "a"}, {"a": {None: 1}},
+                                     [b"x"], {"a": {1, 2}}, ["ok", 2.0], object()])
+    def test_json_writer_refuses_what_it_does_not_write(self, bad):
+        with pytest.raises(TypeError):
+            cli.render("json", bad, [], None)
 
     def test_console_script(self):
         proc = subprocess.run(

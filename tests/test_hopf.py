@@ -48,8 +48,9 @@ from hopfdeform.hopf import (
     specialize_linear_map,
     verify_axioms,
 )
+from hopfdeform import cli, hopf
 from hopfdeform.algebra import LinearMap
-from hopfdeform.rings import Fiber, PrimeField
+from hopfdeform.rings import Fiber, LocalRing, PrimeField
 
 PRIMES = [2, 3]
 
@@ -837,3 +838,208 @@ class TestReportOracle:
         assert failed == set(REQUIRED_CHECKS + ISO_CHECKS) | {"comultiplication is cocommutative"}
         digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
         assert digest == self.DIGEST
+
+
+def constant_lift(s):
+    """A t-free structure over F_p(t) with every constant c/1 moved to F_p[t]_(t)."""
+    R = LocalRing(s.ring.p)
+
+    def lift(vec):
+        for c in vec.values():
+            assert c.den.coeffs == (1,) and c.num.degree <= 0
+        return {i: R.from_int(c.num.at_zero()) for i, c in vec.items()}
+
+    def lift_map(m):
+        return LinearMap(R, m.source_dim, m.target_dim, [lift(col) for col in m.cols])
+
+    return HopfAlgebra(R, s.labels, lift_map(s.mult), lift(s.unit), lift_map(s.comul),
+                       lift_map(s.counit), lift_map(s.antipode))
+
+
+class TestDescentScope:
+    """Which structures verify_axioms and exhibit_isomorphism check over F_p."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("name,k", [("alpha_p", 1), ("mu", 1), ("mu", 2),
+                                        ("constant_cyclic", 1), ("constant_cyclic", 2)])
+    def test_generic_catalog_descends_to_the_special_entry(self, p, name, k):
+        # A t-free structure over F_p(t) comes down to the same tensors over F_p,
+        # which is how the catalog builds the entry over the special fiber.
+        s = as_structure(catalog_build(name, p, k, Fiber.GENERIC).hopf)
+        d = hopf._over_prime_field(s)
+        special = as_structure(catalog_build(name, p, k, Fiber.SPECIAL).hopf)
+        assert d.ring == PrimeField(p) and d.labels == s.labels
+        assert (d.mult, d.comul, d.counit, d.antipode, d.unit) == (
+            special.mult, special.comul, special.counit, special.antipode, special.unit)
+        assert hopf._over_prime_field(constant_lift(s)).comul == special.comul
+        # Over F_p there is nothing to descend.
+        assert hopf._over_prime_field(special) is None
+
+    @pytest.mark.parametrize("name,k", [("alpha_p", 1), ("mu", 2), ("constant_cyclic", 2)])
+    def test_dual_checks_on_the_generic_fiber_run_over_the_prime_field(
+            self, capsys, monkeypatch, name, k):
+        counts = {}
+        for kernel in ("square_mult", "vec_mult"):
+            real = getattr(HopfAlgebra, kernel)
+
+            def counting(s, u, v, real=real, kernel=kernel):
+                key = (kernel, type(s.ring).__name__)
+                counts[key] = counts.get(key, 0) + 1
+                return real(s, u, v)
+            monkeypatch.setattr(HopfAlgebra, kernel, counting)
+        argv = ["--format", "json", "dual", "--p", "3", "--fiber", "generic",
+                "--power", str(k), "--name", name]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert {ring for _, ring in counts} == {"PrimeField"}
+        assert counts[("square_mult", "PrimeField")] > 0
+        # Negative control: with descent off the same checks run over F_3(t)
+        # and print the same bytes.
+        counts.clear()
+        monkeypatch.setattr(hopf, "_over_prime_field", lambda s: None)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
+        assert {ring for _, ring in counts} == {"FunctionField"}
+
+    def test_the_deformation_and_its_mutations_do_not_descend(self):
+        h = deformation_hopf(3)
+        s = as_structure(h)
+        assert hopf._over_prime_field(s) is None
+        for fiber in Fiber:
+            fibered = as_structure(specialize_hopf(h, fiber))
+            assert hopf._over_prime_field(fibered) is None
+        assert hopf._over_prime_field(as_structure(deformation_hopf(3, "corrupt-antipode"))) is None
+        # The two comultiplication mutations admit no algebra map, so their
+        # broken generator images go straight into the tensor.
+        A, sq = h.algebra, h.square
+        one, x, y = A.one(), A.gen(0), A.gen(1)
+        broken = {"drop-comul-t-term": ((0, 1), sq.pure_tensor(one, y) + sq.pure_tensor(y, one)),
+                  "drop-comul-x-term": ((1, 0), sq.pure_tensor(one, x) + sq.pure_tensor(x, one))}
+        assert set(broken) | {"corrupt-antipode"} == set(MUTATIONS)
+        for mutation, (exps, image) in broken.items():
+            with pytest.raises(RelationViolationError):
+                deformation_hopf(3, mutation)
+            cols = list(s.comul.cols)
+            cols[A.index(exps)] = image.vec()
+            comul = LinearMap(s.ring, s.rank, s.rank * s.rank, cols)
+            m = HopfAlgebra(s.ring, s.labels, s.mult, s.unit, comul, s.counit, s.antipode)
+            assert hopf._over_prime_field(m) is None
+
+    @pytest.mark.parametrize("which", ["mult", "comul", "counit", "antipode", "unit"])
+    @pytest.mark.parametrize("scalar", ["t", "1/t", "1/(1+t)", "local 1/(1+t)"])
+    def test_one_t_scalar_stops_the_descent(self, which, scalar):
+        s = as_structure(catalog_build("constant_cyclic", 3, 1, Fiber.GENERIC).hopf)
+        if scalar.startswith("local"):
+            s = constant_lift(s)
+        one, t = s.ring.one(), s.ring.t()
+        t = t if scalar == "t" else one / t if scalar == "1/t" else one / (one + t)
+        maps = {"mult": s.mult, "comul": s.comul, "counit": s.counit, "antipode": s.antipode}
+        unit = dict(s.unit)
+        if which == "unit":
+            unit[0] = unit[0] * t
+        else:
+            m = maps[which]
+            cols = [dict(col) for col in m.cols]
+            col = next(j for j, c in enumerate(cols) if c)
+            row = next(iter(cols[col]))
+            cols[col][row] = cols[col][row] + t
+            maps[which] = LinearMap(s.ring, m.source_dim, m.target_dim, cols)
+        bumped = HopfAlgebra(s.ring, s.labels, maps["mult"], unit, maps["comul"],
+                             maps["counit"], maps["antipode"])
+        assert hopf._over_prime_field(bumped) is None
+        assert hopf._over_prime_field(s) is not None
+
+    def test_the_scan_stops_at_the_first_t_scalar(self):
+        class Untouchable:
+            """A nonzero entry that fails if the scan reads it."""
+
+            def is_zero(self):
+                return False
+
+            def __getattr__(self, name):
+                raise AssertionError(f"scan read .{name} past the first t-scalar")
+
+        s = as_structure(catalog_build("mu", 2, 1, Fiber.GENERIC).hopf)
+        t = s.ring.t()
+        mult = LinearMap(s.ring, s.mult.source_dim, s.mult.target_dim,
+                         [{0: t}] + [dict(col) for col in s.mult.cols[1:]])
+        antipode = LinearMap(s.ring, s.rank, s.rank, [{0: Untouchable()}, {1: Untouchable()}])
+        h = HopfAlgebra(s.ring, s.labels, mult, {1: Untouchable()}, s.comul, s.counit, antipode)
+        assert hopf._over_prime_field(h) is None
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_function_field_against_local_ring_still_fails_base_rings_agree(self, p):
+        s = as_structure(catalog_build("mu", p, 2, Fiber.GENERIC).hopf)
+        lift = constant_lift(s)
+        for a, b in ((s, lift), (lift, s)):
+            report = exhibit_isomorphism(a, b, LinearMap.identity(a.ring, a.rank))
+            assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+                ("base rings agree", False, f"{a.ring.tag} vs {b.ring.tag}")]
+        assert {s.ring.tag, lift.ring.tag} == {f"F{p}(t)", f"F{p}[t]_(t)"}
+
+    def test_a_map_over_another_ring_is_not_descended(self):
+        # A map over F_p between structures over F_p(t) mixes scalar kinds,
+        # with descent as without it.
+        s = as_structure(catalog_build("mu", 2, 1, Fiber.GENERIC).hopf)
+        phi = LinearMap.identity(PrimeField(2), s.rank)
+        with pytest.raises(ContextMismatchError):
+            exhibit_isomorphism(s, s, phi)
+
+
+class TestDescentOracle:
+    """verify_axioms and exhibit_isomorphism give the same report with descent
+    to F_p as without it, on t-free bases over F_p(t) and F_p[t]_(t) and on
+    seeded broken samples made with TestReportOracle's bump scheme (one or
+    two entries of one tensor, sometimes the unit, each bump a constant or a
+    constant times t; the map is the identity, itself sometimes bumped)."""
+
+    SAMPLES_PER_BASE = 24
+
+    @staticmethod
+    def bases():
+        out = []
+        for p in PRIMES:
+            for name in ("mu", "constant_cyclic"):
+                for k in (1, 2):
+                    s = as_structure(catalog_build(name, p, k, Fiber.GENERIC).hopf)
+                    out += [s, constant_lift(s)]
+        return out
+
+    def reports(self):
+        rng = random.Random(20261019)
+        oracle = TestReportOracle()
+        out = []
+        for s in self.bases():
+            ident = LinearMap.identity(s.ring, s.rank)
+            out.append(verify_axioms(s).to_dict())
+            out.append(exhibit_isomorphism(s, s, ident).to_dict())
+            for _ in range(self.SAMPLES_PER_BASE):
+                b = oracle.broken(rng, s)
+                phi = oracle.bumped(rng, ident, s.ring) if rng.randrange(4) else ident
+                out.append(verify_axioms(b).to_dict())
+                out.append(exhibit_isomorphism(s, b, phi).to_dict())
+        return out
+
+    def test_descent_changes_no_report(self, monkeypatch):
+        real = hopf._over_prime_field
+        descended = {True: 0, False: 0}
+
+        def counting(s):
+            d = real(s)
+            descended[d is not None] += 1
+            return d
+
+        monkeypatch.setattr(hopf, "_over_prime_field", counting)
+        on = self.reports()
+        monkeypatch.setattr(hopf, "_over_prime_field", lambda s: None)
+        off = self.reports()
+        assert on == off
+        # Both sides of the switch are exercised, and the reports fail in
+        # every way a report can fail after the ring and shape checks.
+        assert descended[True] > 100 and descended[False] > 100
+        failed = {c["name"] for rep in on for c in rep["checks"] if not c["passed"]}
+        assert failed >= set(REQUIRED_CHECKS + ISO_CHECKS[3:])
+        # The invertibility detail names the ring the caller passed.
+        details = {c["detail"].rsplit(" over ", 1)[1] for rep in on for c in rep["checks"]
+                   if c["name"] == "map is invertible" and not c["passed"]}
+        assert details == {"F2(t)", "F2[t]_(t)", "F3(t)", "F3[t]_(t)"}

@@ -104,6 +104,29 @@ class TestFpElement:
         with pytest.raises(ContextMismatchError):
             FpElement(1, 2) + poly([1], 2)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_same_field_sums_and_products_are_reduced(self, p):
+        # Same-p operands take the direct construction in __add__ and __mul__.
+        for x in range(p):
+            for y in range(p):
+                a, b = FpElement(x, p), FpElement(y, p)
+                for got, want in ((a + b, (x + y) % p), (a * b, x * y % p)):
+                    assert type(got) is FpElement
+                    assert (got.residue, got.p) == (want, p)
+                    assert got == FpElement(want, p) and hash(got) == hash(FpElement(want, p))
+
+    def test_products_keep_the_mixing_errors(self):
+        with pytest.raises(PrimeMismatchError):
+            FpElement(1, 2) * FpElement(1, 3)
+        with pytest.raises(ContextMismatchError):
+            FpElement(1, 2) * rat([1], [1], 2)
+        with pytest.raises(ContextMismatchError):
+            rat([1], [1], 2) * FpElement(1, 2)
+        with pytest.raises(TypeError):
+            FpElement(1, 2) * 1
+        with pytest.raises(TypeError):
+            FpElement(1, 2) + 1
+
 
 class TestUnivariatePoly:
     def test_canonical_trailing_zeros_stripped(self):
