@@ -27,7 +27,7 @@ from .action import (
     is_action,
     universal_leading_coefficient_identity,
 )
-from .algebra import LinearMap, MonomialQuotientAlgebra
+from .algebra import MonomialQuotientAlgebra
 from .cohomology import (
     JumpQuery,
     dimension_table,
@@ -47,9 +47,8 @@ from .errors import (
 )
 from .hopf import (
     MUTATIONS,
-    alpha_self_duality,
-    cartier_dual,
     catalog_build,
+    catalog_dual,
     deformation_hopf,
     double_dual_report,
     exhibit_isomorphism,
@@ -57,7 +56,6 @@ from .hopf import (
     grouplike_order,
     hopf_quotient,
     iso_constant_to_dual_generic,
-    iso_mu_to_dual_constant,
     iso_mu_to_generic,
     iso_special_to_alpha_product,
     presentation_to_json,
@@ -300,32 +298,13 @@ def run_dual(args):
     except UnsupportedParametersError as exc:
         raise UsageError(str(exc))
 
-    checks = []
-    if args.name == "alpha_p":
-        h, dual, phi = alpha_self_duality(args.p, fiber)
-        report = exhibit_isomorphism(h, dual, phi)
-        dual_name = "alpha_p"
-    elif args.name == "constant_cyclic":
-        mu, dual, phi = iso_mu_to_dual_constant(args.p, args.power, fiber)
-        report = exhibit_isomorphism(mu, dual, phi)
-        dual_name = "mu"
-    else:
-        const = catalog_build("constant_cyclic", args.p, args.power, fiber).hopf
-        dual = cartier_dual(entry.hopf)
-        report = exhibit_isomorphism(const, dual,
-                                     LinearMap.identity(dual.ring, dual.rank))
-        dual_name = "constant_cyclic"
-    checks.append({
-        "name": f"dual-is-{dual_name}",
-        "passed": report.ok,
-        "detail": "" if report.ok else report.summary(),
-    })
-    dd = double_dual_report(entry.hopf)
-    checks.append({
-        "name": "double-dual-canonical",
-        "passed": dd.ok,
-        "detail": "" if dd.ok else dd.summary(),
-    })
+    partner, dual, phi = catalog_dual(entry)
+    reports = {
+        f"dual-is-{partner.name}": exhibit_isomorphism(partner.hopf, dual, phi),
+        "double-dual-canonical": double_dual_report(entry.hopf),
+    }
+    checks = [{"name": name, "passed": r.ok, "detail": "" if r.ok else r.summary()}
+              for name, r in reports.items()]
 
     ok = all(c["passed"] for c in checks)
     payload = {
@@ -336,7 +315,7 @@ def run_dual(args):
         "fiber": args.fiber,
         "entry": args.name,
         "order": entry.order,
-        "dual": dual_name,
+        "dual": partner.name,
         "checks": checks,
         "ok": ok,
     }
@@ -607,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", type=int, required=True,
                           help="prime characteristic (2 or 3; 5 with --slow)")
     p_verify.add_argument("--slow", action="store_true",
-                          help="allow the minute-scale p = 5 run")
+                          help="allow the p = 5 run (about 15 s)")
     p_verify.add_argument("--mutate", default=None, help=argparse.SUPPRESS)
 
     p_dual = sub.add_parser("dual", help="Cartier duals of catalog entries")

@@ -439,8 +439,10 @@ MUTATIONS = {
 def deformation_hopf(p: int, mutation: str | None = None) -> HopfPresentation:
     """The rank-p^2 Hopf algebra R[x,y]/(x^p, y^p - t*x) over F_p[t]_(t).
 
-    Comultiplication sends y to 1(x)y + y(x)1 + t*y(x)y; the image of x is
-    the unique compatible choice 1(x)x + x(x)1 + t^(p+1)*x(x)x.  At t = 0
+    Comultiplication sends y to 1(x)y + y(x)1 + t*y(x)y.  The image of x is
+    forced: y^p = t*x and H(x)H has no t-torsion, so it is computed as
+    Delta(y)^p / t = 1(x)x + x(x)1 + t^(p+1)*x(x)x, and the division by t
+    raises NonUnitError unless t divides.  At t = 0
     both generators become primitive; after inverting t the element 1 + t*y
     becomes grouplike of order p^2.
 
@@ -455,8 +457,8 @@ def deformation_hopf(p: int, mutation: str | None = None) -> HopfPresentation:
     A = MonomialQuotientAlgebra(R, ("x", "y"), (p, p), [{}, {(1, 0): t}])
     sq = A.tensor(A)
     one, x, y = A.one(), A.gen(0), A.gen(1)
-    dx = sq.pure_tensor(one, x) + sq.pure_tensor(x, one) + sq.pure_tensor(x, x) * R.t(p + 1)
     dy = sq.pure_tensor(one, y) + sq.pure_tensor(y, one) + sq.pure_tensor(y, y) * t
+    dx = AlgebraElement(sq, {e: c / t for e, c in (dy**p).coeffs.items()})
     if mutation == "drop-comul-t-term":
         dy = sq.pure_tensor(one, y) + sq.pure_tensor(y, one)
     if mutation == "drop-comul-x-term":
@@ -655,18 +657,19 @@ def cartier_dual(h) -> HopfAlgebra:
     label = _first_label(s, lambda k: _is_flip_asymmetric(s.comul.cols[k], r))
     if label is not None:
         raise NotCocommutativeError(f"comultiplication is not cocommutative at {label}")
-    labels = tuple(_dual_label(l) for l in s.labels)
-    unit_map = s.counit.transpose()  # 1 -> r
-    counit_cols = [
-        {0: s.unit[i]} if i in s.unit else {} for i in range(r)
-    ]
+    return _transpose(s)
+
+
+def _transpose(s: HopfAlgebra) -> HopfAlgebra:
+    """The plain transpose of s on the dual basis: mult <-> comul,
+    unit <-> counit, S -> S^T.  Nothing is checked."""
     return HopfAlgebra(
         s.ring,
-        labels,
+        tuple(_dual_label(l) for l in s.labels),
         s.comul.transpose(),
-        dict(unit_map.cols[0]),
+        s.counit.transpose().cols[0],
         s.mult.transpose(),
-        LinearMap(s.ring, r, 1, counit_cols),
+        LinearMap(s.ring, 1, s.rank, [s.unit]).transpose(),
         s.antipode.transpose(),
     )
 
@@ -1011,28 +1014,45 @@ def iso_alpha_product_to_dual_special(h_special: HopfPresentation):
     return product, dual, phi
 
 
+def catalog_dual(entry: CatalogEntry):
+    """Cartier duality on the catalog, as (partner, dual, phi): dual is the
+    Cartier dual of entry, and phi maps the partner entry onto it.
+
+    alpha_p is its own partner, with x^a -> a!*(x^a)*.  mu_q and the
+    constant cyclic scheme of order q are each other's partners, with
+    z^j <-> (d_j)* the identity matrix; only the partner is built here.
+    """
+    dual = cartier_dual(entry.hopf)
+    ring, r = dual.ring, dual.rank
+    if entry.name == "alpha_p":
+        cols = [{a: ring.from_int(math.factorial(a))} for a in range(r)]
+        return entry, dual, LinearMap(ring, r, r, cols)
+    name = {"mu": "constant_cyclic", "constant_cyclic": "mu"}[entry.name]
+    partner = catalog_build(name, entry.p, entry.k, entry.fiber)
+    return partner, dual, LinearMap.identity(ring, r)
+
+
 def alpha_self_duality(p: int, fiber: Fiber):
     """alpha_p -> its own dual, x^a -> a!*(x^a)*."""
-    entry = catalog_build("alpha_p", p, 1, fiber)
-    dual = cartier_dual(entry.hopf)
-    ring = as_structure(entry.hopf).ring
-    cols = [{a: ring.from_int(math.factorial(a))} for a in range(p)]
-    return entry.hopf, dual, LinearMap(ring, p, p, cols)
+    entry, dual, phi = catalog_dual(catalog_build("alpha_p", p, 1, fiber))
+    return entry.hopf, dual, phi
 
 
 def iso_mu_to_dual_constant(p: int, k: int, fiber: Fiber):
     """mu_q -> dual of the constant cyclic scheme: z^j -> (d_j)*."""
-    mu = catalog_build("mu", p, k, fiber).hopf
-    const = catalog_build("constant_cyclic", p, k, fiber).hopf
-    dual = cartier_dual(const)
-    ring = as_structure(mu).ring
-    return mu, dual, LinearMap.identity(ring, p**k)
+    mu, dual, phi = catalog_dual(catalog_build("constant_cyclic", p, k, fiber))
+    return mu.hopf, dual, phi
 
 
 def double_dual_report(h) -> IsoReport:
-    """Canonical evaluation map into the double dual, as an identity matrix."""
+    """Canonical evaluation map into the double dual, as an identity matrix.
+
+    The guard runs once: the dual's multiplication is the transpose of the
+    comultiplication of h, so the dual is commutative exactly when h is
+    cocommutative, and cocommutative exactly when h is commutative.
+    """
     s = as_structure(h)
-    dd = cartier_dual(cartier_dual(s))
+    dd = _transpose(cartier_dual(s))
     return exhibit_isomorphism(s, dd, LinearMap.identity(s.ring, s.rank))
 
 

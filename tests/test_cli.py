@@ -12,7 +12,8 @@ import sys
 
 import pytest
 
-from hopfdeform import cli, cohomology
+from hopfdeform import cli, cohomology, hopf
+from hopfdeform.algebra import LinearMap
 from hopfdeform.cli import UsageError, main, parse_test_algebra
 
 STEP_NAMES = [
@@ -109,6 +110,69 @@ class TestDual:
 
     def test_unsupported_power(self, capsys):
         assert main(["dual", "--p", "2", "--name", "mu", "--power", "3"]) == 2
+
+    @pytest.mark.parametrize("name,power,calls", [
+        ("alpha_p", 1, 1), ("mu", 2, 2), ("constant_cyclic", 2, 2)])
+    def test_each_catalog_object_is_verified_once(self, capsys, monkeypatch,
+                                                  name, power, calls):
+        real = hopf.verify_axioms
+        counted = []
+        monkeypatch.setattr(hopf, "verify_axioms",
+                            lambda h: counted.append(h) or real(h))
+        code, _ = run_json(capsys, ["dual", "--p", "2", "--power", str(power),
+                                    "--name", name])
+        assert code == 0
+        assert len(counted) == calls
+
+    @pytest.mark.parametrize("name", ["alpha_p", "mu", "constant_cyclic"])
+    def test_bumped_identification_fails_only_the_duality_check(
+            self, capsys, monkeypatch, name):
+        real = hopf.catalog_dual
+        reports = []
+
+        def bumped(entry):
+            partner, dual, phi = real(entry)
+            cols = [dict(col) for col in phi.cols]
+            # e_0 added to the last column keeps the map invertible.
+            cols[-1][0] = cols[-1].get(0, phi.ring.zero()) + phi.ring.one()
+            phi = LinearMap(phi.ring, phi.source_dim, phi.target_dim, cols)
+            reports.append(hopf.exhibit_isomorphism(partner.hopf, dual, phi))
+            return partner, dual, phi
+
+        monkeypatch.setattr(cli, "catalog_dual", bumped)
+        code, payload = run_json(capsys, ["dual", "--p", "2", "--name", name])
+        assert code == 1 and not payload["ok"]
+        (report,) = reports
+        first = report.first_failure
+        assert first.name not in ("map is invertible", "base rings agree")
+        duality, canonical = payload["checks"]
+        assert (duality["name"], duality["passed"]) == (f"dual-is-{payload['dual']}", False)
+        assert duality["detail"] == report.summary()
+        assert duality["detail"].startswith(f"{first.name} fails")
+        assert canonical == {"name": "double-dual-canonical", "passed": True, "detail": ""}
+
+    @pytest.mark.parametrize("name,first_label", [
+        ("alpha_p", "1"), ("mu", "1"), ("constant_cyclic", "d0")])
+    def test_corrupted_second_transpose_fails_only_the_double_dual(
+            self, capsys, monkeypatch, name, first_label):
+        real = hopf._transpose
+
+        def corrupted(s):
+            d = real(s)
+            if not s.labels[0].endswith("*"):
+                return d
+            # Transposing a dual: drop the counit of the double dual.
+            counit = LinearMap(d.ring, d.rank, 1, [{} for _ in range(d.rank)])
+            return hopf.HopfAlgebra(d.ring, d.labels, d.mult, d.unit, d.comul,
+                                    counit, d.antipode)
+
+        monkeypatch.setattr(hopf, "_transpose", corrupted)
+        code, payload = run_json(capsys, ["dual", "--p", "2", "--name", name])
+        assert code == 1 and not payload["ok"]
+        duality, canonical = payload["checks"]
+        assert duality["passed"] and duality["detail"] == ""
+        assert canonical["name"] == "double-dual-canonical" and not canonical["passed"]
+        assert canonical["detail"] == f"counit preserved fails at {first_label}"
 
 
 class TestQuotient:

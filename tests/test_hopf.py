@@ -97,8 +97,9 @@ class TestDeformationBuild:
         assert A.rules[0] == {}
         assert A.rules[1] == {(1, 0): R.t()}
 
-    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_comultiplication_images(self, p):
+        # The x image is computed as Delta(y)^p / t; it is the closed formula.
         h = deformation_hopf(p)
         A, sq, R = h.algebra, h.square, h.algebra.ring
         one, x, y = A.one(), A.gen(0), A.gen(1)
@@ -106,6 +107,30 @@ class TestDeformationBuild:
         dx = sq.pure_tensor(one, x) + sq.pure_tensor(x, one) + sq.pure_tensor(x, x) * R.t(p + 1)
         assert h.comul_images == (dx, dy)
         assert all(c.is_zero() for c in h.counit_scalars)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_mutations_damage_the_same_images(self, p, monkeypatch):
+        h = deformation_hopf(p)
+        A, sq, R = h.algebra, h.square, h.algebra.ring
+        one, x, y = A.one(), A.gen(0), A.gen(1)
+        dx = sq.pure_tensor(one, x) + sq.pure_tensor(x, one) + sq.pure_tensor(x, x) * R.t(p + 1)
+        dy = sq.pure_tensor(one, y) + sq.pure_tensor(y, one) + sq.pure_tensor(y, y) * R.t()
+        sx, sy = h.antipode_images
+        expected = {
+            None: ([dx, dy], [sx, sy]),
+            "drop-comul-t-term": ([dx, sq.pure_tensor(one, y) + sq.pure_tensor(y, one)],
+                                  [sx, sy]),
+            "drop-comul-x-term": ([sq.pure_tensor(one, x) + sq.pure_tensor(x, one), dy],
+                                  [sx, sy]),
+            "corrupt-antipode": ([dx, dy], [sx, sy + x]),
+        }
+        assert set(expected) == set(MUTATIONS) | {None}
+        # The comultiplication mutations admit no algebra map, so the images
+        # are caught before hopf_presentation extends them.
+        monkeypatch.setattr(hopf, "hopf_presentation",
+                            lambda A, comul, counit, antipode: (comul, antipode))
+        for mutation, images in expected.items():
+            assert deformation_hopf(p, mutation) == images
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_comul_respects_the_pth_power_relation(self, p):
@@ -378,6 +403,26 @@ class TestCartierDuality:
         bad2 = HopfAlgebra(F, ("a", "b"), sym_mult, {0: one}, asym_comul, counit, id2)
         with pytest.raises(NotCocommutativeError):
             cartier_dual(bad2)
+        # The double dual runs the guard once, with the same error and text.
+        for h in (bad, bad2):
+            with pytest.raises((NotCommutativeError, NotCocommutativeError)) as first:
+                cartier_dual(h)
+            with pytest.raises(first.type) as second:
+                double_dual_report(h)
+            assert str(second.value) == str(first.value)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_transpose_is_an_involution(self, p):
+        structures = [catalog_build(name, p, k, fiber).hopf
+                      for name, k in [("alpha_p", 1), ("mu", 1), ("mu", 2),
+                                      ("constant_cyclic", 1), ("constant_cyclic", 2)]
+                      for fiber in Fiber]
+        structures += [specialize_hopf(deformation_hopf(p), fiber) for fiber in Fiber]
+        for h in structures:
+            s = as_structure(h)
+            back = hopf._transpose(hopf._transpose(s))
+            assert (back.mult, back.unit, back.comul, back.counit, back.antipode) == (
+                s.mult, s.unit, s.comul, s.counit, s.antipode)
 
     def test_dual_errors_and_axiom_report_name_the_same_offender(self):
         F = PrimeField(2)
