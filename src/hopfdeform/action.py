@@ -336,22 +336,12 @@ def is_action(p, n, B, translate_fn=translate, max_pairs: int = 500,
     beyond that a seeded sample of pairs is used.  translate_fn is called
     with translate's own signature, (f, point, expansion_table(p, n, point));
     each table is built on first use, so only points that occur get one.
+    translate_fn must be a function of its arguments: for each spanning
+    element f, its value at a point is computed once and serves as both
+    T_b f and T_{b+c} f, and only the outer T_c(T_b f) is taken per pair.
     """
     points = enumerate_action_points(p, n, B)
     reps = spanning_elements(p, n, B)
-    tables: dict = {}
-
-    def table(pt):
-        t = tables.get(pt)
-        if t is None:
-            t = tables[pt] = expansion_table(p, n, pt)
-        return t
-
-    zero = zero_point(B, n)
-    zero_table = table(zero)
-    for f in reps:
-        if translate_fn(f, zero, zero_table) != f:
-            return False
     total = len(points) ** 2
     if total <= max_pairs:
         pairs = [(b, c) for b in points for c in points]
@@ -361,11 +351,44 @@ def is_action(p, n, B, translate_fn=translate, max_pairs: int = 500,
             (points[rng.randrange(len(points))], points[rng.randrange(len(points))])
             for _ in range(max_pairs)
         ]
-    for b, c in pairs:
-        bc = b + c
-        tb, tc, tbc = table(b), table(c), table(bc)
-        for f in reps:
-            if translate_fn(translate_fn(f, b, tb), c, tc) != translate_fn(f, bc, tbc):
+
+    # every point that occurs, numbered in order of first use, with its table
+    used: list = []
+    slots: dict = {}
+
+    def slot(pt):
+        k = slots.get(pt)
+        if k is None:
+            k = slots[pt] = len(used)
+            used.append((pt, expansion_table(p, n, pt)))
+        return k
+
+    slot(zero_point(B, n))
+    triples = [(slot(b), slot(c), slot(b + c)) for b, c in pairs]
+    # the translates of every spanning element by a point are kept only
+    # while a later pair still reads them as T_b f or T_{b+c} f
+    uses = [0] * len(used)
+    for kb, _, kbc in triples:
+        uses[kb] += 1
+        uses[kbc] += 1
+    moved = {0: [translate_fn(f, *used[0]) for f in reps]}
+    if moved[0] != reps:
+        return False
+
+    def move(k):
+        fs = moved.get(k)
+        if fs is None:
+            pt, table = used[k]
+            fs = moved[k] = [translate_fn(f, pt, table) for f in reps]
+        uses[k] -= 1
+        if not uses[k]:
+            del moved[k]
+        return fs
+
+    for kb, kc, kbc in triples:
+        c, tc = used[kc]
+        for fb, fbc in zip(move(kb), move(kbc)):
+            if translate_fn(fb, c, tc) != fbc:
                 return False
     return True
 
@@ -486,18 +509,21 @@ def hyperplane_probes(p: int, n: int, points) -> list:
     return prepared
 
 
-def probed_stabilizer(f: RegularRepElement, probes: list) -> list:
-    """The points of hyperplane_probes(...) that fix f, in their order.
+def _element_of(B, v) -> AlgebraElement:
+    """The test-algebra element whose coordinates, in basis order, are the ints v."""
+    from_int = B.ring.from_int
+    return AlgebraElement(B, {exps: from_int(k) for exps, k in zip(B.iter_basis(), v) if k})
 
-    f's coefficients become residue vectors once; a point passes the probe
-    when every probed coefficient agrees with f's mod p, and only such
-    points get the full check translate(f, point, table) == f.
+
+def _probe_passes(vectors: dict, probes: list, p: int) -> list:
+    """(point, table) for each entry of hyperplane_probes(...) whose probe f passes.
+
+    vectors maps every x-monomial a to the residue vector of f's
+    coefficient at a; a point passes when every probed coefficient of
+    f(x + b) agrees with f's own mod p.
     """
-    p = f.p
-    vectors = {a: _residues(f.coefficient(a))
-               for a in itertools.product(range(p), repeat=f.n)}
     stacked: dict = {}
-    hits = []
+    passed = []
     for pt, table, probe in probes:
         for tau, keys, rows in probe:
             v = stacked.get(keys)
@@ -506,9 +532,21 @@ def probed_stabilizer(f: RegularRepElement, probes: list) -> list:
             if [sum(map(operator.mul, row, v)) % p for row in rows] != vectors[tau]:
                 break
         else:
-            if translate(f, pt, table) == f:
-                hits.append(pt)
-    return hits
+            passed.append((pt, table))
+    return passed
+
+
+def probed_stabilizer(f: RegularRepElement, probes: list) -> list:
+    """The points of hyperplane_probes(...) that fix f, in their order.
+
+    f's coefficients become residue vectors once; a point passes the probe
+    when every probed coefficient agrees with f's mod p, and only such
+    points get the full check translate(f, point, table) == f.
+    """
+    vectors = {a: _residues(f.coefficient(a))
+               for a in itertools.product(range(f.p), repeat=f.n)}
+    return [pt for pt, table in _probe_passes(vectors, probes, f.p)
+            if translate(f, pt, table) == f]
 
 
 def free_locus_hyperplane_check(p, n, B, trials: int | None = None,
@@ -519,41 +557,63 @@ def free_locus_hyperplane_check(p, n, B, trials: int | None = None,
     x_1^{p-1}...x_n^{p-1}; a positive count runs that many seeded random
     trials (trial k is drawn from seed + k, so batches are order-free).
     Any element fixed by a nonzero point is reported with full data.
+
+    Candidates are residue vectors, one per x-monomial, drawn in the order
+    of enumerate_elements, random_algebra_element and _random_unit; f is
+    built as a RegularRepElement only when some point passes the probe.
     """
     p = Prime(p).p
     _require_test_algebra(B)
     points = enumerate_action_points(p, n, B)
     monomials = list(itertools.product(range(p), repeat=n))
     top = (p - 1,) * n
+    rank = B.rank
     probes = hyperplane_probes(p, n, points)
+    if B.generators_nilpotent:
+        # B is local: a unit is a nonzero constant term, basis index 0
+        def is_unit(v):
+            return v[0] != 0
+    else:
+        def is_unit(v):
+            return is_unit_element(_element_of(B, v))
+
+    def non_free(vectors):
+        passed = _probe_passes(vectors, probes, p)
+        if not passed:
+            return None, []
+        f = RegularRepElement(p, n, B, {a: _element_of(B, vectors[a]) for a in monomials})
+        return f, [pt for pt, table in passed if translate(f, pt, table) == f]
 
     failures = []
     if trials is None:
-        elements = enumerate_elements(B)
-        count = len(elements) ** len(monomials)
+        count = (p**rank) ** len(monomials)
         if count > POINT_ENUMERATION_CAP:
             raise SizeGuardError(
                 f"{count} candidate elements exceed the cap {POINT_ENUMERATION_CAP}"
             )
+        vecs = [list(v) for v in itertools.product(range(p), repeat=rank)]
         checked = 0
-        for combo in itertools.product(elements, repeat=len(monomials)):
-            coeffs = dict(zip(monomials, combo))
-            if not is_unit_element(coeffs[top]):
+        for combo in itertools.product(vecs, repeat=len(monomials)):
+            if not is_unit(combo[-1]):  # top is the last monomial
                 continue
-            f = RegularRepElement(p, n, B, coeffs)
             checked += 1
-            hits = probed_stabilizer(f, probes)
+            f, hits = non_free(dict(zip(monomials, combo)))
             if hits:
                 failures.append({"f": str(f), "stabilizer": [str(h) for h in hits]})
         return FreeLocusReport(p, n, describe_test_algebra(B), "exhaustive", checked, None,
                                len(points), failures)
 
     for k in range(trials):
-        rng = random.Random(seed + k)
-        coeffs = {a: random_algebra_element(rng, B) for a in monomials}
-        coeffs[top] = _random_unit(rng, B)
-        f = RegularRepElement(p, n, B, coeffs)
-        hits = probed_stabilizer(f, probes)
+        randrange = random.Random(seed + k).randrange
+        vectors = {a: [randrange(p) for _ in range(rank)] for a in monomials}
+        for _ in range(1000):
+            v = [randrange(p) for _ in range(rank)]
+            if is_unit(v):
+                break
+        else:
+            raise AssertionError("unit sampling failed; the algebra has almost no units")
+        vectors[top] = v
+        f, hits = non_free(vectors)
         if hits:
             failures.append({"trial": k, "f": str(f), "stabilizer": [str(h) for h in hits]})
     return FreeLocusReport(p, n, describe_test_algebra(B), "random", trials, seed,
@@ -648,9 +708,19 @@ def universal_leading_coefficient_identity(p: int, n: int) -> SymbolicIdentityCe
     (b)^2.  A trivial stabilizer then follows by nilpotent induction: any
     fixing b satisfies c_top * b_i in (b)^2 for every i, so with c_top a
     unit the ideal (b) equals (b)^2, and (b)^m = 0 for m past the degree
-    bound kills it; the iteration is recorded step by step.
+    bound kills it; the iteration is recorded step by step, once every
+    b-monomial of that degree is checked to vanish in the symbolic ring.
     """
     S, c_syms, b_syms = symbolic_coefficient_ring(p, n)
+    # b_i^p = 0 caps every b-exponent at p - 1, so (b)^{n(p-1)+1} = 0, which
+    # ends the induction; without it b is no point and nothing is certified.
+    max_b_degree = n * (p - 1)
+    bound = n * (p - 1) * (p - 1) + 1
+    no_c = (0,) * len(c_syms)
+    if not all(S.monomial(no_c + e).is_zero()
+               for e in itertools.product(range(max_b_degree + 2), repeat=n)
+               if sum(e) == max_b_degree + 1):
+        return SymbolicIdentityCertificate(p, n, [], bound, max_b_degree, [], False)
     point = ActionPoint(tuple(b_syms))
     f = RegularRepElement(p, n, S, dict(c_syms))
     d = translate(f, point) - f
@@ -673,12 +743,9 @@ def universal_leading_coefficient_identity(p: int, n: int) -> SymbolicIdentityCe
         directions.append(DirectionCheck(i + 1, target, str(extracted), str(expected),
                                          exact, ok))
 
-    # b_i^p = 0 caps every b-exponent at p - 1, so (b)^{n(p-1)+1} = 0.
     # b_i = unit * residual_i with residual_i in (b)^2; once every b_j sits
     # in (b)^m the residual sits in (b)^{2m} inside (b)^{m+1}, advancing the
     # exponent from 1 until the ideal power vanishes.
-    max_b_degree = n * (p - 1)
-    bound = n * (p - 1) * (p - 1) + 1
     steps = ([{"assume": m, "conclude": m + 1} for m in range(1, max_b_degree + 1)]
              if all_ok else [])
     return SymbolicIdentityCertificate(p, n, directions, bound, max_b_degree, steps, all_ok)

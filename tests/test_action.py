@@ -34,7 +34,7 @@ from hopfdeform.action import (
     zero_point,
 )
 from hopfdeform import action as action_module
-from hopfdeform.cli import main
+from hopfdeform.cli import FORMAT_ENV_VAR, main
 from hopfdeform.algebra import MonomialQuotientAlgebra
 from hopfdeform.errors import (
     ContextMismatchError,
@@ -315,6 +315,39 @@ class TestActionLaws:
         assert len(built) == len(set(built)) <= 16
         assert zero_point(B, 2) in built
 
+    @pytest.mark.parametrize("p,n,B,max_pairs", [
+        (3, 1, trunc_algebra(3, ("e", 3)), 500),          # 9 points, all 81 pairs
+        (2, 2, trunc_algebra(2, ("e", 2), ("d", 2)), 500),  # 64 points, 500 sampled
+        (3, 2, trunc_algebra(3, ("e", 3)), 40),           # 81 points, 40 sampled
+    ])
+    def test_each_inner_translate_runs_once(self, monkeypatch, p, n, B, max_pairs):
+        # an inner call gets a spanning element itself; an outer call gets
+        # the translate an inner call returned
+        honest_span = action_module.spanning_elements
+        reps = []
+
+        def recording_span(*args):
+            reps.extend(honest_span(*args))
+            return reps
+
+        calls = []
+
+        def counting(f, pt, table=None):
+            calls.append((f, pt))
+            return translate(f, pt, table)
+
+        monkeypatch.setattr(action_module, "spanning_elements", recording_span)
+        assert is_action(p, n, B, translate_fn=counting, max_pairs=max_pairs)
+        rep_ids = {id(f) for f in reps}
+        inner = [(id(f), pt) for f, pt in calls if id(f) in rep_ids]
+        assert len(inner) == len(set(inner))
+        points = len(enumerate_action_points(p, n, B))
+        pairs = min(points**2, max_pairs)
+        assert len(calls) - len(inner) == len(reps) * pairs
+        assert len(calls) <= len(reps) * (points + pairs + 1)
+        if points**2 <= max_pairs:
+            assert len(inner) == len(reps) * points
+
     def test_spanning_set_size(self):
         B = trunc_algebra(2, ("e", 2))
         assert len(spanning_elements(2, 2, B)) == B.rank * 4
@@ -466,6 +499,187 @@ class TestHyperplaneProbe:
         assert nontrivial
 
 
+F3 = PrimeField(3)
+# g^2 = g: F3 x F3, off the local case, so units take the is_unit_element path
+IDEMPOTENT = MonomialQuotientAlgebra(F3, ("g",), (2,), [{(1,): F3.one()}])
+
+
+def reference_free_locus(p, n, B, trials=None, seed=DEFAULT_SEED):
+    """free_locus_hyperplane_check(...).to_dict() on the element path:
+    candidates from enumerate_elements or random_algebra_element and
+    _random_unit, hits from probed_stabilizer, checked against stabilizer."""
+    # looked up on the module, so that a monkeypatched part breaks both paths
+    points = enumerate_action_points(p, n, B)
+    probes = action_module.hyperplane_probes(p, n, points)
+    monomials = list(itertools.product(range(p), repeat=n))
+    top = (p - 1,) * n
+
+    def hits_of(f):
+        hits = action_module.probed_stabilizer(f, probes)
+        assert hits == [pt for pt in action_module.stabilizer(f) if not pt.is_zero()]
+        return [str(h) for h in hits]
+
+    failures = []
+    if trials is None:
+        checked = 0
+        for combo in itertools.product(enumerate_elements(B), repeat=len(monomials)):
+            coeffs = dict(zip(monomials, combo))
+            if not is_unit_element(coeffs[top]):
+                continue
+            checked += 1
+            f = RegularRepElement(p, n, B, coeffs)
+            hits = hits_of(f)
+            if hits:
+                failures.append({"f": str(f), "stabilizer": hits})
+        return FreeLocusReport(p, n, describe_test_algebra(B), "exhaustive", checked, None,
+                               len(points), failures).to_dict()
+    for k in range(trials):
+        rng = random.Random(seed + k)
+        coeffs = {a: random_algebra_element(rng, B) for a in monomials}
+        coeffs[top] = action_module._random_unit(rng, B)
+        f = RegularRepElement(p, n, B, coeffs)
+        hits = hits_of(f)
+        if hits:
+            failures.append({"trial": k, "f": str(f), "stabilizer": hits})
+    return FreeLocusReport(p, n, describe_test_algebra(B), "random", trials, seed,
+                           len(points), failures).to_dict()
+
+
+class TestResiduePath:
+    """free_locus_hyperplane_check draws and probes candidates as residue
+    vectors; the element path (reference_free_locus) is its oracle."""
+
+    RANDOM = [
+        (2, 1, trunc_algebra(2, ("e", 2)), 60),
+        (2, 2, trunc_algebra(2, ("e", 2), ("d", 2)), 30),
+        (3, 1, trunc_algebra(3, ("e", 3)), 60),
+        (3, 2, trunc_algebra(3, ("e", 2)), 60),
+        (5, 1, trunc_algebra(5, ("e", 2)), 60),
+        (5, 2, trunc_algebra(5), 60),
+        (3, 1, IDEMPOTENT, 60),
+        (3, 2, IDEMPOTENT, 30),
+    ]
+    EXHAUSTIVE = [
+        (2, 1, trunc_algebra(2, ("e", 2), ("d", 2))),
+        (2, 2, trunc_algebra(2, ("e", 2))),
+        (2, 2, trunc_algebra(2)),
+        (3, 1, trunc_algebra(3, ("e", 2))),
+        (5, 1, trunc_algebra(5)),
+        (3, 1, IDEMPOTENT),
+    ]
+    RANDOM_IDS = [f"{p}-{n}-{describe_test_algebra(B)}" for p, n, B, _ in RANDOM]
+    EXHAUSTIVE_IDS = [f"{p}-{n}-{describe_test_algebra(B)}" for p, n, B in EXHAUSTIVE]
+
+    @staticmethod
+    def record_vectors(monkeypatch):
+        # every candidate reaches _probe_passes exactly once, as residue vectors
+        seen = []
+        honest = action_module._probe_passes
+
+        def recording(vectors, probes, p):
+            seen.append({a: list(v) for a, v in vectors.items()})
+            return honest(vectors, probes, p)
+
+        monkeypatch.setattr(action_module, "_probe_passes", recording)
+        return seen
+
+    @pytest.mark.parametrize("p,n,B,trials", RANDOM, ids=RANDOM_IDS)
+    def test_random_draws_match_the_element_draws(self, monkeypatch, p, n, B, trials):
+        seen = self.record_vectors(monkeypatch)
+        seed = 4000 + 7 * p + n
+        free_locus_hyperplane_check(p, n, B, trials=trials, seed=seed)
+        monomials = list(itertools.product(range(p), repeat=n))
+        top = (p - 1,) * n
+        expected = []
+        retries = 0
+        for k in range(trials):
+            rng = random.Random(seed + k)
+            coeffs = {a: random_algebra_element(rng, B) for a in monomials}
+            coeffs[top] = action_module._random_unit(rng, B)
+            expected.append({a: action_module._residues(c) for a, c in coeffs.items()})
+            # a non-unit as the first draw for top means _random_unit retried
+            first = random.Random(seed + k)
+            for _ in monomials:
+                random_algebra_element(first, B)
+            retries += not is_unit_element(random_algebra_element(first, B))
+        assert seen == expected
+        assert retries
+
+    @pytest.mark.parametrize("p,n,B", EXHAUSTIVE, ids=EXHAUSTIVE_IDS)
+    def test_exhaustive_candidates_follow_enumerate_elements(self, monkeypatch, p, n, B):
+        seen = self.record_vectors(monkeypatch)
+        report = free_locus_hyperplane_check(p, n, B)
+        monomials = list(itertools.product(range(p), repeat=n))
+        expected = [
+            {a: action_module._residues(c) for a, c in zip(monomials, combo)}
+            for combo in itertools.product(enumerate_elements(B), repeat=len(monomials))
+            if is_unit_element(combo[-1])
+        ]
+        assert seen == expected
+        assert report.trials == len(expected)
+
+    @pytest.mark.parametrize("p,n,B,trials", RANDOM, ids=RANDOM_IDS)
+    def test_random_report_matches_the_element_path(self, p, n, B, trials):
+        seed = 5000 + 7 * p + n
+        got = free_locus_hyperplane_check(p, n, B, trials=trials, seed=seed).to_dict()
+        assert got == reference_free_locus(p, n, B, trials, seed)
+        assert got["passed"]
+
+    @pytest.mark.parametrize("p,n,B", EXHAUSTIVE, ids=EXHAUSTIVE_IDS)
+    def test_exhaustive_report_matches_the_element_path(self, p, n, B):
+        got = free_locus_hyperplane_check(p, n, B).to_dict()
+        assert got == reference_free_locus(p, n, B)
+        assert got["passed"]
+
+    def test_local_units_never_build_an_element(self, monkeypatch):
+        # in a local algebra the unit test reads the constant residue, and
+        # with every point probed away no coefficient is ever built
+        def refuse(*args):
+            raise AssertionError("element built on the residue path")
+
+        monkeypatch.setattr(action_module, "_element_of", refuse)
+        monkeypatch.setattr(action_module, "is_unit_element", refuse)
+        B = trunc_algebra(3, ("e", 2))
+        assert free_locus_hyperplane_check(3, 2, B, trials=200, seed=3).ok
+        assert free_locus_hyperplane_check(3, 1, B).ok
+
+    @staticmethod
+    def break_probe_and_translate(monkeypatch):
+        # every point passes the probe, and translation by a point whose
+        # first coordinate is the first generator fixes everything
+        honest_probes = action_module.hyperplane_probes
+        honest_translate = action_module.translate
+
+        def no_rows(p, n, points):
+            return [(pt, table, []) for pt, table, _ in honest_probes(p, n, points)]
+
+        def lazy(f, pt, table=None):
+            if pt.coordinates[0] == pt.algebra.gen(0):
+                return f
+            return honest_translate(f, pt, table)
+
+        monkeypatch.setattr(action_module, "hyperplane_probes", no_rows)
+        monkeypatch.setattr(action_module, "translate", lazy)
+
+    @pytest.mark.parametrize("p,n,B,trials", [
+        (2, 2, trunc_algebra(2, ("e", 2)), None),
+        (3, 1, trunc_algebra(3, ("e", 2)), None),
+        (3, 2, trunc_algebra(3, ("e", 2)), 40),
+        (2, 2, trunc_algebra(2, ("e", 2), ("d", 2)), 20),
+    ])
+    def test_broken_probe_reports_the_same_failures(self, monkeypatch, p, n, B, trials):
+        self.break_probe_and_translate(monkeypatch)
+        got = free_locus_hyperplane_check(p, n, B, trials=trials, seed=77).to_dict()
+        want = reference_free_locus(p, n, B, trials, 77)
+        assert got == want
+        assert not got["passed"]
+        if trials is not None:
+            assert [f["trial"] for f in got["failures"]] == list(range(trials))
+        for failure in got["failures"]:
+            assert failure["stabilizer"]
+            assert {s[1:].split(",")[0].rstrip(")") for s in failure["stabilizer"]} == {"e"}
+
+
 class TestFrobenius:
     # _pth_power scales exponents by p and leaves the bounds to the normal
     # form; repeated squaring is the oracle.  Over F3[u,v]/(u^3 - u - v,
@@ -560,6 +774,40 @@ class TestSymbolicIdentity:
         assert doc["symbolic_identity"]["passed"] is False
         assert doc["symbolic_identity"]["induction_steps"] == []
         assert not doc["ok"]
+
+    @staticmethod
+    def loosen_b_bounds(monkeypatch):
+        # b_i^(p+1) = 0 in place of b_i^p = 0: (b)^{n(p-1)+1} no longer vanishes
+        def loose(p, n):
+            S, c_syms, _ = symbolic_coefficient_ring(p, n)
+            bounds = (2,) * len(c_syms) + (p + 1,) * n
+            L = MonomialQuotientAlgebra(PrimeField(p), S.gens, bounds, [{} for _ in S.gens])
+            return (L, {a: L.gen(i) for i, a in enumerate(c_syms)},
+                    [L.gen(len(c_syms) + i) for i in range(n)])
+
+        monkeypatch.setattr(action_module, "symbolic_coefficient_ring", loose)
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+    def test_unbounded_b_fails_the_nilpotency_check(self, monkeypatch, p, n):
+        self.loosen_b_bounds(monkeypatch)
+        cert = universal_leading_coefficient_identity(p, n)
+        assert not cert.ok
+        assert cert.induction_steps == [] and cert.directions == []
+        assert (cert.max_b_degree, cert.nilpotency_bound) == (n * (p - 1),
+                                                              n * (p - 1) ** 2 + 1)
+        assert cert.to_dict()["passed"] is False
+
+    def test_unbounded_b_fails_the_command(self, monkeypatch, capsys):
+        self.loosen_b_bounds(monkeypatch)
+        monkeypatch.delenv(FORMAT_ENV_VAR, raising=False)
+        argv = ["free-locus", "--p", "3", "--n", "1", "--test-algebra", "F3[e]/(e^2)"]
+        assert main(["--format", "json"] + argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["symbolic_identity"]["passed"] is False
+        assert doc["action_law_ok"] and doc["free_locus"]["passed"] and not doc["ok"]
+        assert main(argv) == 1
+        assert ("[FAIL] symbolic leading-coefficient identity in 0 directions"
+                in capsys.readouterr().out)
 
     def test_certificate_serialization(self):
         d = universal_leading_coefficient_identity(2, 1).to_dict()

@@ -571,13 +571,19 @@ PINNED_JSON = [
 ]
 
 
-# Exit code and sha256 of the stdout of the table renderings that PINNED_JSON
-# does not cover; the rows are formatted lazily and must stay byte-identical.
+# Exit code and sha256 of the stdout of the renderings that PINNED_JSON does
+# not cover: the table rows are formatted lazily, and the free-locus lines
+# report what the residue-vector search counted; both stay byte-identical.
 PINNED_RENDERINGS = [
     (["cohomology-table", "--max-n", "20", "--max-degree", "120"], 0,
      "505ea7bb0be194e3dbeaac3f248183f175980d772e4d62809ebb6c7c0a434942"),
     (["--format", "csv", "cohomology-table", "--max-n", "20", "--max-degree", "120"], 0,
      "51c5d4cc9625b24edb3b893a749f9b60f68f16e4bb30a10301a9e675c05e34a5"),
+    (["free-locus", "--p", "3", "--n", "2", "--test-algebra", "F3[e]/(e^2)",
+      "--trials", "1000", "--seed", "5"], 0,
+     "c11b1171717dbe12c65b38b97726a5a6dfa301ae92e9c4daba77c8187a8025d5"),
+    (["free-locus", "--p", "2", "--n", "1", "--test-algebra", "F2[e,d]/(e^2,d^2)"], 0,
+     "4d47eff793c86dc52d847726a0b1525294f8e9313c0e1763b06dae2de1b14486"),
 ]
 
 
