@@ -6,11 +6,17 @@ generically, two at t = 0), so the n-fold product has closed-form dimensions
 C(n+i-1, i) and C(2n+i-1, i).  The module keeps the closed forms and the
 convolution builds separate so each can check the other, and layers the
 projective-bundle sum and the minimal-n jump solver on top.
+
+The cross-check builds the generic column without a binomial: convolving a
+series with the all-ones series gives its running sum, so n - 1 running sums
+of one all-ones factor are its n-fold Kunneth power.  The special column is
+one real Kunneth product of the generic column with itself (2n = n + n).
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 
@@ -21,16 +27,22 @@ from .rings import Fiber
 class PoincareSeries:
     """Truncated sequence of cohomological dimensions, indexed from degree 0.
 
-    Entries are nonnegative integers.  Queries beyond the truncation degree
-    raise TruncationError rather than guessing.
+    Entries are nonnegative integers of type int; anything else, bool
+    included, is refused rather than coerced.  Queries beyond the truncation
+    degree raise TruncationError rather than guessing.
     """
 
     def __init__(self, coefficients):
-        coeffs = tuple(int(c) for c in coefficients)
+        coeffs = tuple(coefficients)
         if not coeffs:
             raise UnsupportedParametersError(
                 "a Poincare series needs at least the degree-0 entry")
-        if any(c < 0 for c in coeffs):
+        if set(map(type, coeffs)) != {int}:
+            degree = next(i for i, c in enumerate(coeffs) if type(c) is not int)
+            raise UnsupportedParametersError(
+                f"dimension entry in degree {degree} is "
+                f"{type(coeffs[degree]).__name__} {coeffs[degree]!r}, not int")
+        if min(coeffs) < 0:
             raise UnsupportedParametersError("dimension entries must be nonnegative")
         self.coefficients = coeffs
 
@@ -91,6 +103,9 @@ def kunneth_power(series: PoincareSeries, factors: int) -> PoincareSeries:
     `factors` after the first, and one product per further set digit.  Exact
     integer convolution is associative, so the coefficients are those of
     factors - 1 sequential products.
+
+    No CLI command calls this: the cross-check builds its all-ones powers by
+    running sums.  It stays as that build's test oracle.
     """
     if factors < 1:
         raise UnsupportedParametersError("need at least one tensor factor")
@@ -330,15 +345,19 @@ def verify_binomial_vs_kunneth(n: int, max_degree: int) -> ConvolutionReport:
     """Cross-check dim_classifying against convolution of all-ones series.
 
     The convolution side never evaluates a binomial.  The generic column is the
-    n-fold Kunneth power of the single-factor series, built by repeated
-    squaring.  The special fiber has 2n factors, so its column is the Kunneth
-    square of the generic one.
+    n-fold Kunneth power of the single-factor series.  Convolving a series with
+    the all-ones series gives its running sum, so that power is built as
+    n - 1 running sums of the single factor.  The special fiber has 2n
+    factors, so its column is the Kunneth square of the generic one.
     """
     if n < 1:
         raise UnsupportedParametersError("need at least one product factor")
     if max_degree < 0:
         raise UnsupportedParametersError("truncation degree must be >= 0")
-    generic = kunneth_power(_all_ones(max_degree), n)
+    column = _all_ones(max_degree).coefficients
+    for _ in range(n - 1):
+        column = itertools.accumulate(column)
+    generic = PoincareSeries(column)
     special = kunneth(generic, generic)
     return ConvolutionReport(n, max_degree, tuple(
         ConvolutionCheck(fiber, i, dim, dim_classifying(n, i, fiber))

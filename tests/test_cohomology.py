@@ -6,11 +6,12 @@ convolution, so it can arbitrate between the two implementations.
 """
 
 import functools
+import json
 import random
 
 import pytest
 
-from hopfdeform import cohomology
+from hopfdeform import cli, cohomology
 from hopfdeform.cohomology import (
     ConvolutionCheck,
     ConvolutionReport,
@@ -90,6 +91,11 @@ class TestSeries:
             PoincareSeries((1, -1))
         with pytest.raises(UnsupportedParametersError):
             series_alpha_p(-1)
+
+    @pytest.mark.parametrize("entry", [1.9, "3", True, False, 2.0])
+    def test_non_int_entry_is_refused_not_coerced(self, entry):
+        with pytest.raises(UnsupportedParametersError, match="degree 2 "):
+            PoincareSeries([1, 1, entry, 1])
 
     def test_equality(self):
         assert PoincareSeries((1, 2)) == PoincareSeries((1, 2))
@@ -440,6 +446,29 @@ class TestConvolutionCrosscheck:
                    if e.fiber is Fiber.SPECIAL]
         assert special == list(kunneth_power(series_alpha_p(30), 2 * n).coefficients)
 
+    @pytest.mark.parametrize("max_degree", [0, 1, 7, 120])
+    def test_running_sums_are_the_kunneth_powers(self, max_degree):
+        single = series_alpha_p(max_degree)
+        for n in range(1, 41):
+            entries = verify_binomial_vs_kunneth(n, max_degree).entries
+            for fiber, factors in ((Fiber.GENERIC, n), (Fiber.SPECIAL, 2 * n)):
+                column = [e.convolution for e in entries if e.fiber is fiber]
+                assert column == list(kunneth_power(single, factors).coefficients), \
+                    (n, fiber)
+
+    def test_one_kunneth_product_and_no_power_per_crosscheck(self, monkeypatch):
+        calls = {"kunneth": 0, "kunneth_power": 0}
+        for name in calls:
+            original = getattr(cohomology, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cohomology, name, counted)
+        assert verify_binomial_vs_kunneth(20, 120).ok
+        assert calls == {"kunneth": 1, "kunneth_power": 0}
+
     def test_serialization(self):
         payload = verify_binomial_vs_kunneth(2, 4).to_dict()
         assert payload["ok"] is True
@@ -448,6 +477,47 @@ class TestConvolutionCrosscheck:
         assert payload["entries"][0] == {
             "fiber": "generic", "degree": 0,
             "convolution": 1, "binomial": 1, "match": True}
+
+
+class TestCrosscheckNegativeControl:
+    """A wrong single-factor series must surface as cross-check mismatches."""
+
+    @pytest.mark.parametrize("bumped_degree", [0, 4, 8])
+    def test_bumped_factor_is_reported(self, capsys, monkeypatch, bumped_degree):
+        max_n, max_degree = 3, 8
+        ones = series_alpha_p(max_degree)
+        bumped = list(ones.coefficients)
+        bumped[bumped_degree] += 1
+        bumped = PoincareSeries(bumped)
+        # The running sums convolve the first factor with n - 1 true all-ones
+        # factors, and the special column is the square of the generic one.
+        expected = []
+        for n in range(1, max_n + 1):
+            generic = bumped if n == 1 else kunneth(bumped, kunneth_power(ones, n - 1))
+            special = kunneth_power(generic, 2)
+            for fiber, column in ((Fiber.GENERIC, generic), (Fiber.SPECIAL, special)):
+                for i, dim in enumerate(column.coefficients):
+                    binomial = dim_classifying(n, i, fiber)
+                    if dim != binomial:
+                        expected.append({"n": n, "i": i, "fiber": fiber.value,
+                                         "convolution": dim, "binomial": binomial})
+
+        original = cohomology._all_ones
+
+        def corrupted(degree):
+            coeffs = list(original(degree).coefficients)
+            coeffs[bumped_degree] += 1
+            return PoincareSeries(coeffs)
+
+        monkeypatch.setattr(cohomology, "_all_ones", corrupted)
+        code = cli.main(["--format", "json", "cohomology-table",
+                         "--max-n", str(max_n), "--max-degree", str(max_degree)])
+        crosscheck = json.loads(capsys.readouterr().out)["crosscheck"]
+        assert code == 1
+        assert crosscheck["ok"] is False
+        assert crosscheck["mismatches"] == expected
+        assert expected[0] == {"n": 1, "i": bumped_degree, "fiber": "generic",
+                               "convolution": 2, "binomial": 1}
 
 
 class TestDimensionTable:
