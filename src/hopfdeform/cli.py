@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import itertools
+import operator
 import os
 import re
 import sys
@@ -33,6 +34,7 @@ from .cohomology import (
     dimension_table,
     jump_certificate,
     minimal_n_for_jump,
+    table_binomials,
     verify_binomial_vs_kunneth,
 )
 from .errors import (
@@ -399,17 +401,19 @@ def run_cohomology_table(args):
         raise SizeGuardError(
             f"--max-degree {args.max_degree} exceeds the bound {MAX_TABLE_DEGREE}")
 
+    # The cross-check certifies the printed cells: its binomial side is read
+    # from the table's rows, so each closed form is evaluated once.
+    rows = dimension_table(args.max_n, args.max_degree)
     crosscheck_cells = 0
     mismatches = []
-    for n in range(1, args.max_n + 1):
-        report = verify_binomial_vs_kunneth(n, args.max_degree)
+    for n, binomials in enumerate(table_binomials(rows, args.max_degree), 1):
+        report = verify_binomial_vs_kunneth(n, args.max_degree, binomials)
         crosscheck_cells += len(report.entries)
         mismatches.extend(
             {"n": n, "i": entry.degree, "fiber": entry.fiber.value,
              "convolution": entry.convolution, "binomial": entry.binomial}
             for entry in report.mismatches())
 
-    rows = dimension_table(args.max_n, args.max_degree)
     if args.fiber != "both":
         rows = [r for r in rows if r["fiber"] == args.fiber]
 
@@ -666,6 +670,46 @@ _JSON_SCALARS = {
 }
 
 
+# Column types a list of records may hold for _json_records.
+_RECORD_COLUMNS = {t: _JSON_SCALARS[t] for t in (int, str, bool)}
+
+
+def _json_records(items, inner: str, heads: dict):
+    """The encoded items of a list of uniform records, or None.
+
+    A list qualifies when its items are non-empty dicts with one shared set
+    of str keys and each key's values share one exact type: int, str or
+    bool.  Its columns are then encoded with map and each row fills one
+    '%' template.  The first item is looked at alone before any other, so
+    most lists that do not qualify cost one short check.
+    """
+    first = items[0]
+    if (type(first) is not dict or not first
+            or not all(type(key) is str for key in first)
+            or not all(type(v) in _RECORD_COLUMNS for v in first.values())):
+        return None
+    if set(map(type, items)) != {dict}:
+        return None
+    if not all(map(first.keys().__eq__, map(dict.keys, items))):
+        return None
+    keys = sorted(first)
+    columns = []
+    for key in keys:
+        column = list(map(operator.itemgetter(key), items))
+        types = set(map(type, column))
+        if len(types) != 1:
+            return None
+        columns.append(map(_RECORD_COLUMNS[types.pop()], column))
+    inner2 = inner + "  "
+    for key in keys:
+        if key not in heads:
+            heads[key] = encode_basestring_ascii(key) + ": "
+    template = ("{" + inner2
+                + ("," + inner2).join(heads[key].replace("%", "%%") + "%s" for key in keys)
+                + inner + "}")
+    return map(template.__mod__, zip(*columns))
+
+
 def _json_text(value, newline: str, heads: dict) -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for what the
     commands put in a payload: dicts with str keys, lists, tuples, str, int,
@@ -699,6 +743,9 @@ def _json_text(value, newline: str, heads: dict) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
+        records = _json_records(value, inner, heads)
+        if records is not None:
+            return "[" + inner + ("," + inner).join(records) + newline + "]"
         out = []
         for item in value:
             encode = _JSON_SCALARS.get(type(item))

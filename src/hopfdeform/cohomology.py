@@ -11,6 +11,14 @@ The cross-check builds the generic column without a binomial: convolving a
 series with the all-ones series gives its running sum, so n - 1 running sums
 of one all-ones factor are its n-fold Kunneth power.  The special column is
 one real Kunneth product of the generic column with itself (2n = n + n).
+That product packs each series into one int, a fixed-width slot per degree,
+and multiplies once.  It is exact because the slot width is taken from the
+bound m * max(a) * max(b) on every coefficient of an m-term product (each
+maximum at least 1, so the bound also covers every input entry), so no slot
+overflows into the next.  The table command passes its own closed-form
+columns, read from dimension_table's rows by table_binomials, to the
+cross-check, so each printed cell's binomial is evaluated once and the check
+certifies the numbers that are printed.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 
 from .errors import TruncationError, UnsupportedParametersError
 from .rings import Fiber
@@ -89,11 +96,34 @@ def series_alpha_p(max_degree: int) -> PoincareSeries:
     return _all_ones(max_degree)
 
 
+def _pack(coefficients: tuple[int, ...], width: int) -> int:
+    return int.from_bytes(
+        b"".join([c.to_bytes(width, "little") for c in coefficients]), "little")
+
+
 def kunneth(s1: PoincareSeries, s2: PoincareSeries) -> PoincareSeries:
-    """Cauchy convolution, truncated at the smaller of the two bounds."""
-    a, b = s1.coefficients, s2.coefficients
-    return PoincareSeries(
-        sum(map(operator.mul, a[:i + 1], b[i::-1])) for i in range(min(len(a), len(b))))
+    """Cauchy convolution, truncated at the smaller of the two bounds.
+
+    The product is one big-integer multiplication (Kronecker substitution):
+    each series is packed into an int with one `width`-byte slot per degree,
+    the two ints are multiplied, and the slots are read back.  Every
+    coefficient of the full product, the degrees past the truncation
+    included, is a sum of at most m products of one entry from each side, so
+    it is at most m * max(a) * max(b).  The width is taken from that bound
+    with each maximum raised to at least 1, so it covers every input entry
+    as well, an all-zero factor included: every packed entry and every
+    product coefficient is below 256**width.  No slot carries into the next,
+    and the slots are the exact Cauchy sums.
+    """
+    m = min(len(s1), len(s2))
+    a, b = s1.coefficients[:m], s2.coefficients[:m]
+    width = (m * max(max(a), 1) * max(max(b), 1)).bit_length() // 8 + 1
+    x = _pack(a, width)
+    # x * x takes CPython's faster squaring path
+    product = x * (x if b is a else _pack(b, width))
+    data = product.to_bytes(2 * m * width, "little")
+    return PoincareSeries([int.from_bytes(data[k:k + width], "little")
+                           for k in range(0, m * width, width)])
 
 
 def kunneth_power(series: PoincareSeries, factors: int) -> PoincareSeries:
@@ -341,7 +371,8 @@ class ConvolutionReport:
         }
 
 
-def verify_binomial_vs_kunneth(n: int, max_degree: int) -> ConvolutionReport:
+def verify_binomial_vs_kunneth(n: int, max_degree: int,
+                               binomials=None) -> ConvolutionReport:
     """Cross-check dim_classifying against convolution of all-ones series.
 
     The convolution side never evaluates a binomial.  The generic column is the
@@ -349,24 +380,40 @@ def verify_binomial_vs_kunneth(n: int, max_degree: int) -> ConvolutionReport:
     the all-ones series gives its running sum, so that power is built as
     n - 1 running sums of the single factor.  The special fiber has 2n
     factors, so its column is the Kunneth square of the generic one.
+
+    binomials, when given, maps each Fiber to its closed-form column for
+    degrees 0..max_degree, as a caller that already evaluated
+    dim_classifying holds it; the report then certifies exactly those
+    numbers.  When omitted, dim_classifying is evaluated once per entry.
     """
     if n < 1:
         raise UnsupportedParametersError("need at least one product factor")
     if max_degree < 0:
         raise UnsupportedParametersError("truncation degree must be >= 0")
+    if binomials is None:
+        binomials = {fiber: [dim_classifying(n, i, fiber) for i in range(max_degree + 1)]
+                     for fiber in (Fiber.GENERIC, Fiber.SPECIAL)}
+    elif any(len(binomials[fiber]) != max_degree + 1
+             for fiber in (Fiber.GENERIC, Fiber.SPECIAL)):
+        raise UnsupportedParametersError(
+            f"binomial columns must have {max_degree + 1} entries, degrees 0..{max_degree}")
     column = _all_ones(max_degree).coefficients
     for _ in range(n - 1):
         column = itertools.accumulate(column)
     generic = PoincareSeries(column)
     special = kunneth(generic, generic)
     return ConvolutionReport(n, max_degree, tuple(
-        ConvolutionCheck(fiber, i, dim, dim_classifying(n, i, fiber))
+        ConvolutionCheck(fiber, i, dim, binomial)
         for fiber, power in ((Fiber.GENERIC, generic), (Fiber.SPECIAL, special))
-        for i, dim in enumerate(power.coefficients)))
+        for i, (dim, binomial) in enumerate(zip(power.coefficients, binomials[fiber]))))
 
 
 def dimension_table(max_n: int, max_degree: int) -> list[dict]:
-    """Rows (n, i, fiber, dim) for every cell, plus a gap row per (n, i)."""
+    """Rows (n, i, fiber, dim) for every cell, plus a gap row per (n, i).
+
+    The rows run over n, then i, and give generic, special and gap for each
+    (n, i) in that order; table_binomials reads them by that order.
+    """
     if max_n < 1:
         raise UnsupportedParametersError("need at least one product factor")
     if max_degree < 0:
@@ -380,3 +427,13 @@ def dimension_table(max_n: int, max_degree: int) -> list[dict]:
             rows.append({"n": n, "i": i, "fiber": "special", "dim": special})
             rows.append({"n": n, "i": i, "fiber": "gap", "dim": special - generic})
     return rows
+
+
+def table_binomials(rows: list[dict], max_degree: int):
+    """Each n's closed-form columns in dimension_table(max_n, max_degree)'s
+    rows, for n = 1..max_n, as verify_binomial_vs_kunneth's binomials."""
+    dims = [row["dim"] for row in rows]
+    stride = 3 * (max_degree + 1)
+    for start in range(0, len(dims), stride):
+        yield {Fiber.GENERIC: dims[start:start + stride:3],
+               Fiber.SPECIAL: dims[start + 1:start + stride:3]}

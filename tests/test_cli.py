@@ -247,9 +247,9 @@ class TestCohomologyTable:
             assert int(got["dim"]) == want["dim"]
 
     def test_crosscheck_reports_a_corrupted_cell(self, capsys, monkeypatch):
-        # Off by one in the special column of n = 3, degree 5 only: that column is
-        # the Kunneth square of the generic 3-fold power, the one square whose
-        # factors have degree-1 entry 3 (every other square has a power of two).
+        # Off by one in the special column of n = 3, degree 5 only: the only
+        # Kunneth squares left are the special columns, each the square of the
+        # generic n-fold power, whose degree-1 entry is n; only n = 3 has 3.
         original = cohomology.kunneth
 
         def corrupted(s1, s2):
@@ -275,6 +275,25 @@ class TestCohomologyTable:
         assert main(args) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "convolution crosscheck: 56 cells, 1 MISMATCHES"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_each_cell_evaluates_one_binomial(self, capsys, monkeypatch, fmt):
+        # the cross-check reads its binomials from the printed table's rows
+        calls = []
+        original = cohomology.dim_classifying
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cohomology, "dim_classifying", counted)
+        args = ["--format", fmt, "cohomology-table", "--max-n", "4", "--max-degree", "6"]
+        assert main(args) == 0
+        assert len(calls) == 4 * 7 * 2
+        assert len(set(calls)) == len(calls)
+        if fmt == "json":
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["crosscheck"] == {"ok": True, "cells": 56, "mismatches": []}
 
     def test_guards(self, capsys):
         assert main(["cohomology-table", "--max-n", "33"]) == 3
@@ -506,6 +525,103 @@ class TestPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "all 9 steps passed" in proc.stdout
+
+
+class TestJsonRecords:
+    """Lists of uniform records are written column by column; every other
+    value takes the recursive walk.  Both give json.dumps's text."""
+
+    @staticmethod
+    def dumps(value):
+        return json.dumps(value, indent=2, sort_keys=True)
+
+    @staticmethod
+    def counted_records(monkeypatch):
+        """Patch cli._json_records to record, per call, whether it took the list."""
+        taken = []
+        original = cli._json_records
+
+        def counted(items, inner, heads):
+            out = original(items, inner, heads)
+            taken.append((len(items), out is not None))
+            return out
+
+        monkeypatch.setattr(cli, "_json_records", counted)
+        return taken
+
+    COLUMN_PATH = {
+        "table rows": [{"n": n, "i": i, "fiber": f, "dim": 10**30 * n + i}
+                       for n in (1, 2) for i in range(3) for f in ("generic", "gap")],
+        "all-bool column": [{"ok": True, "name": "a"}, {"ok": False, "name": "b"}],
+        "one item": [{"a": 1, "b": "x", "c": False}],
+        "escaped keys": [{'"q"\\': 1, "é\n": "⊗", "Z": -2, "": ""},
+                         {'"q"\\': 3, "é\n": "𝔽", "Z": 0, "": "\t"}],
+        "percent in key and value": [{"100%": "%s", "%d": 5}, {"100%": "%%", "%d": 6}],
+        "tuple of records": ({"k": 1}, {"k": 2}),
+    }
+
+    FALLBACK = {
+        "mixed column": [{"a": 1}, {"a": "1"}],
+        "int and bool column": [{"a": 1}, {"a": True}],
+        "int enum value": [{"a": enum.IntEnum("Level", "LOW HIGH").HIGH}, {"a": 2}],
+        "str subclass value": [{"a": type("Tag", (str,), {})("v")}, {"a": "w"}],
+        "str subclass in a later item": [{"a": "v"}, {"a": type("Tag", (str,), {})("w")}],
+        "differing key sets": [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+        "fewer keys later": [{"a": 1, "b": 2}, {"a": 1}],
+        "nested value": [{"a": 1, "b": [1, 2]}, {"a": 2, "b": []}],
+        "nested value later": [{"a": 1}, {"a": {"x": None}}],
+        "None value": [{"a": None}, {"a": None}],
+        "empty dicts": [{}, {}],
+        "empty dict later": [{"a": 1}, {}],
+        "dict then scalar": [{"a": 1}, 3],
+        "scalars": [1, "a", True, None],
+        "lists": [[1], [2]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_PATH))
+    def test_column_path_matches_json_dumps(self, monkeypatch, name):
+        taken = self.counted_records(monkeypatch)
+        value = self.COLUMN_PATH[name]
+        for payload in (value, {"rows": value, "n": 1}, [value, value]):
+            assert cli._json_text(payload, "\n", {}) == self.dumps(payload)
+        # once per copy of the list: alone, in a dict, and twice in a list
+        assert [n for n, path in taken if path] == [len(value)] * 4
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK))
+    def test_fallback_matches_json_dumps(self, monkeypatch, name):
+        taken = self.counted_records(monkeypatch)
+        value = self.FALLBACK[name]
+        for payload in (value, {"rows": value}):
+            assert cli._json_text(payload, "\n", {}) == self.dumps(payload)
+        assert taken[0] == (len(value), False)
+
+    def test_non_str_key_keeps_the_walk_error(self):
+        for bad in ([{1: "a"}, {1: "b"}], [{"a": 1}, {2: 1}], [{"a": 1}, {(1,): 1}]):
+            with pytest.raises(TypeError, match="^keys must be str, not (int|tuple)$"):
+                cli._json_text(bad, "\n", {})
+        # mixed key types fail in sorted(), as they do in the walk
+        with pytest.raises(TypeError, match="^'<' not supported between"):
+            cli._json_text([{"a": 1, 3: 4}], "\n", {})
+
+    def test_seeded_record_lists(self):
+        rng = random.Random(1808)
+        kinds = (lambda: rng.randrange(-10**20, 10**20), lambda: rng.choice([True, False]),
+                 lambda: "".join(rng.choice('a"\\%\né⊗') for _ in range(rng.randrange(4))))
+        for _ in range(200):
+            keys = rng.sample(["n", "i", "fiber", "dim", "%", "é", ""], rng.randrange(1, 5))
+            column = {k: rng.choice(kinds) for k in keys}
+            items = [{k: column[k]() for k in keys} for _ in range(rng.randrange(1, 6))]
+            if rng.random() < 0.3:
+                rng.choice(items)[rng.choice(keys)] = rng.choice([None, [], {}, 7, "s", False])
+            assert cli._json_text(items, "\n", {}) == self.dumps(items)
+
+    def test_table_rows_take_the_column_path(self, capsys, monkeypatch):
+        taken = self.counted_records(monkeypatch)
+        argv = ["--format", "json", "cohomology-table", "--max-n", "20", "--max-degree", "120"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (len(payload["rows"]), True) in taken
+        assert len(payload["rows"]) == 20 * 121 * 3
 
 
 # Exit code and sha256 of the `--format json` stdout.  The digests were taken

@@ -31,6 +31,7 @@ from hopfdeform.cohomology import (
     series_alpha_p,
     series_constant_cyclic,
     stabilized_bundle_dim,
+    table_binomials,
     verify_binomial_vs_kunneth,
 )
 from hopfdeform.errors import TruncationError, UnsupportedParametersError
@@ -191,6 +192,75 @@ class TestKernelOracles:
         assert report.ok
         assert sorted(calls, key=repr) == sorted(
             ((11, e.degree, e.fiber) for e in report.entries), key=repr)
+
+
+class TestPackedKunneth:
+    """kunneth multiplies packed ints; the double sum over j <= i is the oracle."""
+
+    @staticmethod
+    def check(a, b):
+        got = kunneth(PoincareSeries(a), PoincareSeries(b))
+        assert list(got.coefficients) == textbook_convolution(a, b)
+        assert all(type(c) is int for c in got.coefficients)
+
+    def test_length_one(self):
+        for x, y in ((0, 0), (1, 1), (3, 5), (255, 255), (256, 1), (10**80, 10**80 + 1)):
+            self.check([x], [y])
+        self.check([7], [2, 9, 4])
+
+    def test_unequal_lengths(self):
+        self.check([1, 2, 3, 4, 5, 6, 7], [8, 9])
+        self.check([4, 0, 1], [1, 1, 1, 1, 1, 1])
+        self.check(list(range(40)), list(range(100, 0, -1)))
+
+    def test_all_zero_factor(self):
+        self.check([0] * 9, [5, 6, 7, 8, 9, 1, 2, 3, 4])
+        self.check([3, 2, 1], [0, 0, 0, 0])
+        self.check([0] * 5, [0] * 5)
+        # the slot width must also hold the other factor's entries
+        self.check([0], [300])
+        self.check([0, 0], [300, 10**20])
+        self.check([10**20], [0])
+        self.check([0] * 4, [2**64, 1, 2**200, 7])
+
+    def test_entries_near_1e80(self):
+        # the 32 x 200 table's special column reaches about 10^61; these go past it
+        rng = random.Random(80)
+        for length in (1, 2, 17, 201):
+            a = [10**80 + rng.randrange(10**79) for _ in range(length)]
+            b = [rng.randrange(10**80) for _ in range(length)]
+            self.check(a, b)
+            self.check(a, a)
+        generic = classifying_series(32, Fiber.GENERIC, 200)
+        square = kunneth(generic, generic)
+        assert max(square.coefficients) > 10**61
+        assert square == classifying_series(32, Fiber.SPECIAL, 200)
+
+    def test_slot_boundaries(self):
+        # entries 2^k - 1 put the coefficient bound next to a whole byte
+        for k in range(1, 40):
+            for length in (1, 2, 3, 8):
+                self.check([2**k - 1] * length, [2**k - 1] * length)
+                self.check([2**k - 1] * length, [2**k] * (length + 1))
+
+    @pytest.mark.parametrize("seed", [11, 12, 13, 14])
+    def test_random_nonnegative_series(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            cap = rng.choice((1, 2, 255, 256, 10**6, 2**64, 10**40))
+            a = [rng.randrange(cap + 1) for _ in range(rng.randrange(1, 60))]
+            b = [rng.randrange(cap + 1) for _ in range(rng.randrange(1, 60))]
+            self.check(a, b)
+            self.check(b, a)
+            self.check(a, a)
+
+    def test_square_of_one_series(self):
+        # s1 is s2 takes the squaring path
+        rng = random.Random(5)
+        for length in (1, 4, 121):
+            s = random_series(rng, length - 1, cap=10**12)
+            assert list(kunneth(s, s).coefficients) == textbook_convolution(
+                s.coefficients, s.coefficients)
 
 
 class TestDimensions:
@@ -469,6 +539,39 @@ class TestConvolutionCrosscheck:
         assert verify_binomial_vs_kunneth(20, 120).ok
         assert calls == {"kunneth": 1, "kunneth_power": 0}
 
+    @staticmethod
+    def closed_form_columns(n, max_degree):
+        return {fiber: list(classifying_series(n, fiber, max_degree).coefficients)
+                for fiber in (Fiber.GENERIC, Fiber.SPECIAL)}
+
+    def test_given_binomials_are_the_ones_certified(self, monkeypatch):
+        columns = self.closed_form_columns(6, 15)
+        calls = []
+        monkeypatch.setattr(cohomology, "dim_classifying",
+                            lambda *args: calls.append(args))
+        given = verify_binomial_vs_kunneth(6, 15, columns)
+        assert calls == []
+        monkeypatch.undo()
+        assert given.to_dict() == verify_binomial_vs_kunneth(6, 15).to_dict()
+
+    def test_a_wrong_given_binomial_is_a_mismatch(self):
+        columns = self.closed_form_columns(3, 9)
+        columns[Fiber.SPECIAL][7] += 1
+        report = verify_binomial_vs_kunneth(3, 9, columns)
+        assert not report.ok
+        [bad] = report.mismatches()
+        assert (bad.fiber, bad.degree) == (Fiber.SPECIAL, 7)
+        assert bad.convolution == dim_classifying(3, 7, Fiber.SPECIAL)
+        assert bad.binomial == bad.convolution + 1
+
+    @pytest.mark.parametrize("fiber,length", [
+        (Fiber.GENERIC, 9), (Fiber.SPECIAL, 11), (Fiber.GENERIC, 0)])
+    def test_given_columns_must_cover_every_degree(self, fiber, length):
+        columns = self.closed_form_columns(2, 9)
+        columns[fiber] = (columns[fiber] * 2)[:length]
+        with pytest.raises(UnsupportedParametersError, match="10 entries"):
+            verify_binomial_vs_kunneth(2, 9, columns)
+
     def test_serialization(self):
         payload = verify_binomial_vs_kunneth(2, 4).to_dict()
         assert payload["ok"] is True
@@ -532,6 +635,14 @@ class TestDimensionTable:
         rows = dimension_table(3, 2)
         cell = {r["fiber"]: r["dim"] for r in rows if r["n"] == 1 and r["i"] == 1}
         assert cell == {"generic": 1, "special": 2, "gap": 1}
+
+    @pytest.mark.parametrize("max_n,max_degree", [(1, 0), (3, 0), (2, 5), (7, 12)])
+    def test_table_binomials_are_each_n_columns(self, max_n, max_degree):
+        columns = list(table_binomials(dimension_table(max_n, max_degree), max_degree))
+        assert columns == [
+            {fiber: list(classifying_series(n, fiber, max_degree).coefficients)
+             for fiber in (Fiber.GENERIC, Fiber.SPECIAL)}
+            for n in range(1, max_n + 1)]
 
     def test_gap_rows_consistent(self):
         rows = dimension_table(4, 6)
