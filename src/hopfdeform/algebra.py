@@ -274,6 +274,11 @@ def _acc(out: dict, key, val):
             out[key] = s
 
 
+def _reduced(out: dict, p: int) -> dict:
+    """The int sums of out reduced mod p, without the ones that vanish."""
+    return {k: r for k, v in out.items() if (r := v % p)}
+
+
 class AlgebraElement:
     """Sparse element: {exponent tuple: base-ring coefficient}."""
 
@@ -479,9 +484,14 @@ def algebra_hom(source: MonomialQuotientAlgebra, target: MonomialQuotientAlgebra
 
 
 class LinearMap:
-    """R-linear map stored as sparse columns over the basis index."""
+    """R-linear map stored as sparse columns over the basis index.
 
-    __slots__ = ("ring", "source_dim", "target_dim", "cols")
+    modulus is None for columns of ring elements.  A map from residues()
+    has modulus p and int entries in [1, p); apply and the one-sided
+    tensor maps then add plain ints and reduce mod p once per output vector.
+    """
+
+    __slots__ = ("ring", "source_dim", "target_dim", "cols", "modulus")
 
     def __init__(self, ring, source_dim: int, target_dim: int, cols):
         cols = tuple({i: c for i, c in col.items() if not c.is_zero()} for col in cols)
@@ -491,6 +501,15 @@ class LinearMap:
         self.source_dim = source_dim
         self.target_dim = target_dim
         self.cols = cols
+        self.modulus = None
+
+    def residues(self) -> "LinearMap":
+        """This map over F_p with every entry as its int residue (modulus p)."""
+        out = object.__new__(LinearMap)
+        out.ring, out.source_dim, out.target_dim = self.ring, self.source_dim, self.target_dim
+        out.cols = tuple({i: c.residue for i, c in col.items()} for col in self.cols)
+        out.modulus = self.ring.p
+        return out
 
     @staticmethod
     def identity(ring, n: int) -> "LinearMap":
@@ -498,10 +517,17 @@ class LinearMap:
 
     def apply(self, vec: dict) -> dict:
         out: dict = {}
+        p = self.modulus
+        if p is None:
+            for i, c in vec.items():
+                for j, m in self.cols[i].items():
+                    _acc(out, j, c * m)
+            return out
+        get = out.get
         for i, c in vec.items():
             for j, m in self.cols[i].items():
-                _acc(out, j, c * m)
-        return out
+                out[j] = get(j, 0) + c * m
+        return _reduced(out, p)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
@@ -610,23 +636,42 @@ class LinearMap:
 def tensor_apply_left(f: LinearMap, n: int, vec: dict) -> dict:
     """Apply f (x) id_n to a sparse vector over the product index i*n + j."""
     out: dict = {}
+    p = f.modulus
+    if p is None:
+        for idx, c in vec.items():
+            i, j = divmod(idx, n)
+            for fi, fc in f.cols[i].items():
+                _acc(out, fi * n + j, c * fc)
+        return out
+    get, cols = out.get, f.cols
     for idx, c in vec.items():
         i, j = divmod(idx, n)
-        for fi, fc in f.cols[i].items():
-            _acc(out, fi * n + j, c * fc)
-    return out
+        for fi, fc in cols[i].items():
+            k = fi * n + j
+            out[k] = get(k, 0) + c * fc
+    return _reduced(out, p)
 
 
 def tensor_apply_right(g: LinearMap, vec: dict) -> dict:
     """Apply id (x) g to a sparse vector over the product index i*g.source + j."""
     out: dict = {}
     gs, gt = g.source_dim, g.target_dim
+    p = g.modulus
+    if p is None:
+        for idx, c in vec.items():
+            i, j = divmod(idx, gs)
+            base = i * gt
+            for gj, gc in g.cols[j].items():
+                _acc(out, base + gj, c * gc)
+        return out
+    get, cols = out.get, g.cols
     for idx, c in vec.items():
         i, j = divmod(idx, gs)
         base = i * gt
-        for gj, gc in g.cols[j].items():
-            _acc(out, base + gj, c * gc)
-    return out
+        for gj, gc in cols[j].items():
+            k = base + gj
+            out[k] = get(k, 0) + c * gc
+    return _reduced(out, p)
 
 
 def tensor_apply(f: LinearMap, g: LinearMap, vec: dict) -> dict:

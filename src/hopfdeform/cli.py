@@ -51,6 +51,7 @@ from .hopf import (
     MUTATIONS,
     catalog_build,
     catalog_dual,
+    checked_structure,
     deformation_hopf,
     double_dual_report,
     exhibit_isomorphism,
@@ -203,7 +204,9 @@ def run_verify(args):
 
     def special_axioms():
         state["sp"] = specialize_hopf(state["h"], Fiber.SPECIAL)
-        report = verify_axioms(state["sp"])
+        # Checked twice (here and in special_split), converted once.
+        state["sp_checked"] = checked_structure(state["sp"])
+        report = verify_axioms(state["sp_checked"])
         if not report.ok:
             return report.summary()
 
@@ -215,7 +218,7 @@ def run_verify(args):
 
     def special_split():
         target, phi = iso_special_to_alpha_product(state["sp"])
-        report = exhibit_isomorphism(state["sp"], target, phi)
+        report = exhibit_isomorphism(state["sp_checked"], target, phi)
         if not report.ok:
             return report.summary()
 
@@ -302,8 +305,8 @@ def run_dual(args):
 
     partner, dual, phi = catalog_dual(entry)
     reports = {
-        f"dual-is-{partner.name}": exhibit_isomorphism(partner.hopf, dual, phi),
-        "double-dual-canonical": double_dual_report(entry.hopf),
+        f"dual-is-{partner.name}": exhibit_isomorphism(partner.checked, dual, phi),
+        "double-dual-canonical": double_dual_report(entry.checked),
     }
     checks = [{"name": name, "passed": r.ok, "detail": "" if r.ok else r.summary()}
               for name, r in reports.items()]

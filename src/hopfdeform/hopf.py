@@ -7,10 +7,19 @@ Every checker works on the tensor form, so both carriers are accepted
 everywhere.  Each checked identity is one comparison of two composites
 built from a small set of kernels: LinearMap.apply, the products
 HopfAlgebra.vec_mult (in H) and square_mult (in H(x)H), the outer
-product _outer, and the one-sided tensor maps tensor_apply_left
-(f (x) id) and tensor_apply_right (id (x) g) of the algebra module.  The
-first offender of each identity is found by _first_label (over basis
-elements) or _first_pair (over basis pairs i <= j).
+product _outer, the sum _sum, and the one-sided tensor maps
+tensor_apply_left (f (x) id) and tensor_apply_right (id (x) g) of the
+algebra module.  The first offender of each identity is found by
+_first_label (over basis elements) or _first_pair (over basis pairs i <= j).
+
+A structure over F_p, or one whose constants all lie in F_p
+(_over_prime_field), is checked as a residue structure: a HopfAlgebra over
+F_p whose tensors (and the map phi of exhibit_isomorphism) hold plain int
+residues, with modulus p on each LinearMap.  On it every kernel adds ints
+and reduces mod p once per output vector, dropping zeros there; on any
+other structure the kernels add ring elements as before.  The identity
+list is the same on both.  checked_structure converts a structure once,
+and a caller that checks it twice passes the result down.
 
 The central object built here is the order-p^2 deformation
 R[x,y]/(x^p, y^p - t*x) over F_p[t] localized at (t), whose special
@@ -27,6 +36,7 @@ from .algebra import (
     LinearMap,
     MonomialQuotientAlgebra,
     _acc,
+    _reduced,
     algebra_hom,
     in_span,
     invert_unit,
@@ -51,7 +61,6 @@ from .errors import (
 )
 from .rings import (
     Fiber,
-    FpElement,
     FunctionField,
     LocalRing,
     Prime,
@@ -70,9 +79,13 @@ class HopfAlgebra:
     mult: H(x)H -> H, comul: H -> H(x)H, counit: H -> R, antipode: H -> H,
     all as sparse-column linear maps; unit is the coefficient vector of 1.
     Tensor indices follow the left-most-significant convention i*rank + j.
+    A residue structure (_residues) is over F_p, holds int residues in
+    [1, p) in maps of modulus p, and has as source the structure it was
+    made from; every other structure has modulus and source None.
     """
 
-    __slots__ = ("ring", "labels", "mult", "unit", "comul", "counit", "antipode", "_by_left")
+    __slots__ = ("ring", "labels", "mult", "unit", "comul", "counit", "antipode", "_by_left",
+                 "source")
 
     def __init__(self, ring, labels, mult, unit, comul, counit, antipode):
         r = len(labels)
@@ -91,6 +104,7 @@ class HopfAlgebra:
         self.comul = comul
         self.counit = counit
         self.antipode = antipode
+        self.source = None
         # _by_left[i][j] is the product column of e_i*e_j, for the nonempty ones.
         self._by_left = [{} for _ in range(r)]
         for ij, col in enumerate(mult.cols):
@@ -102,17 +116,31 @@ class HopfAlgebra:
     def rank(self) -> int:
         return len(self.labels)
 
+    @property
+    def modulus(self) -> int | None:
+        """p on a residue structure, None on a structure of ring elements."""
+        return self.mult.modulus
+
     def mult_col(self, i: int, j: int) -> dict:
         return self.mult.cols[i * self.rank + j]
 
     def vec_mult(self, u: dict, v: dict) -> dict:
         out: dict = {}
+        p = self.mult.modulus
+        if p is None:
+            for i, a in u.items():
+                for b, col in _nonempty_products(self._by_left[i], v):
+                    c = a * b
+                    for k, m in col.items():
+                        _acc(out, k, c * m)
+            return out
+        get = out.get
         for i, a in u.items():
             for b, col in _nonempty_products(self._by_left[i], v):
                 c = a * b
                 for k, m in col.items():
-                    _acc(out, k, c * m)
-        return out
+                    out[k] = get(k, 0) + c * m
+        return _reduced(out, p)
 
     def counit_of(self, u: dict):
         return self.counit.apply(u).get(0, self.ring.zero())
@@ -126,7 +154,9 @@ class HopfAlgebra:
         of v, or the pairs of nonempty product columns of e_i and e_j.
         """
         r = self.rank
+        p = self.mult.modulus
         out: dict = {}
+        get = out.get
         for ij, a in u.items():
             i, j = divmod(ij, r)
             row1, row2 = self._by_left[i], self._by_left[j]
@@ -140,14 +170,24 @@ class HopfAlgebra:
             else:
                 terms = [(b, w1, w2) for k, w1 in row1.items() for l, w2 in row2.items()
                          if (b := v.get(k * r + l)) is not None]
+            if p is None:
+                for b, w1, w2 in terms:
+                    c = a * b
+                    for t1, c1 in w1.items():
+                        base = t1 * r
+                        cc1 = c * c1
+                        for t2, c2 in w2.items():
+                            _acc(out, base + t2, cc1 * c2)
+                continue
             for b, w1, w2 in terms:
                 c = a * b
                 for t1, c1 in w1.items():
                     base = t1 * r
                     cc1 = c * c1
                     for t2, c2 in w2.items():
-                        _acc(out, base + t2, cc1 * c2)
-        return out
+                        kl = base + t2
+                        out[kl] = get(kl, 0) + cc1 * c2
+        return out if p is None else _reduced(out, p)
 
     def __repr__(self):
         return f"<HopfAlgebra rank {self.rank} over {self.ring.tag}>"
@@ -165,7 +205,10 @@ def _nonempty_products(row: dict, vec: dict) -> list:
     return [(vec[j], col) for j, col in row.items() if j in vec]
 
 
-def _outer(u: dict, v: dict, r: int) -> dict:
+def _outer(u: dict, v: dict, r: int, p: int | None = None) -> dict:
+    """u (x) v over the product index i*r + j; p is the modulus of int residues."""
+    if p is not None:
+        return {i * r + j: c for i, a in u.items() for j, b in v.items() if (c := a * b % p)}
     out = {}
     for i, a in u.items():
         base = i * r
@@ -303,13 +346,13 @@ def verify_axioms(h) -> AxiomReport:
 
     Each identity compares two composites of the structure maps on basis
     elements (or pairs of them).  Cocommutativity is reported but not required.
-    A structure whose constants all lie in F_p is checked over F_p.
+    A structure over F_p, or one whose constants all lie in F_p, is checked
+    on its int residues (_residue_form).
     """
-    s = as_structure(h)
-    s = _over_prime_field(s) or s
-    r = s.rank
+    s = checked_structure(h)
+    r, p = s.rank, s.modulus
     m, unit, d, eps, S = s.mult_col, s.unit, s.comul.cols, s.counit.cols, s.antipode.cols
-    one = s.ring.one()
+    one = s.ring.one() if p is None else 1
     report = AxiomReport()
 
     def record(name, offender, required=True):
@@ -317,11 +360,11 @@ def verify_axioms(h) -> AxiomReport:
 
     record("multiplication is commutative", _first_pair(s, lambda i, j: m(i, j) != m(j, i)))
     record("comultiplication is an algebra map",
-           "1" if s.comul.apply(unit) != _outer(unit, unit, r) else
+           "1" if s.comul.apply(unit) != _outer(unit, unit, r, p) else
            _first_pair(s, lambda i, j: s.comul.apply(m(i, j)) != s.square_mult(d[i], d[j])))
     record("counit is an algebra map",
            "1" if s.counit.apply(unit) != {0: one} else
-           _first_pair(s, lambda i, j: s.counit.apply(m(i, j)) != _outer(eps[i], eps[j], 1)))
+           _first_pair(s, lambda i, j: s.counit.apply(m(i, j)) != _outer(eps[i], eps[j], 1, p)))
     record("comultiplication is coassociative", _first_label(
         s, lambda k: tensor_apply_left(s.comul, r, d[k]) != tensor_apply_right(s.comul, d[k])))
     record("counit identities hold", _first_label(
@@ -331,14 +374,49 @@ def verify_axioms(h) -> AxiomReport:
     def antipode_differs(k):
         # m(S (x) id) and m(id (x) S) on comul(e_k) = sum e_i (x) a_i = sum b_j (x) e_j
         rows, cols = _factor_groups(d[k], r)
-        expected = _outer(eps[k], unit, r)
-        return (_sum(s.vec_mult(S[i], a) for i, a in rows.items()) != expected
-                or _sum(s.vec_mult(b, S[j]) for j, b in cols.items()) != expected)
+        expected = _outer(eps[k], unit, r, p)
+        return (_sum((s.vec_mult(S[i], a) for i, a in rows.items()), p) != expected
+                or _sum((s.vec_mult(b, S[j]) for j, b in cols.items()), p) != expected)
 
     record("antipode identities hold", _first_label(s, antipode_differs))
     record("comultiplication is cocommutative",
            _first_label(s, lambda k: _is_flip_asymmetric(d[k], r)), required=False)
     return report
+
+
+def checked_structure(h) -> HopfAlgebra:
+    """The structure verify_axioms and exhibit_isomorphism check for h: its
+    int residue structure when h is over F_p or every constant of h lies in
+    F_p, else as_structure(h).  A caller that checks h more than once passes
+    this in place of h, so that h is descended and converted once."""
+    s = as_structure(h)
+    return _residue_form(s) or s
+
+
+def _residue_form(s: HopfAlgebra) -> HopfAlgebra | None:
+    """s as the checkers run it on int residues: s itself when it holds them
+    already, its residue structure when s is over F_p or every constant of s
+    lies in F_p (_over_prime_field), and None otherwise."""
+    if s.modulus is not None:
+        return s
+    d = s if isinstance(s.ring, PrimeField) else _over_prime_field(s)
+    return None if d is None else _residues(d, s)
+
+
+def _residues(s: HopfAlgebra, source: HopfAlgebra) -> HopfAlgebra:
+    """s, a structure over F_p, with every scalar as its int residue.
+
+    The kernels (LinearMap.apply, tensor_apply_left/right, vec_mult,
+    square_mult, _outer, _sum) then add plain ints and reduce mod p once per
+    output vector, and two vectors are equal exactly when their residue
+    dicts are.  source is the structure the caller passed, whose ring the
+    checks of exhibit_isomorphism name.
+    """
+    out = HopfAlgebra(s.ring, s.labels, s.mult.residues(), {}, s.comul.residues(),
+                      s.counit.residues(), s.antipode.residues())
+    out.unit = {i: c.residue for i, c in s.unit.items()}
+    out.source = source
+    return out
 
 
 def _over_prime_field(s: HopfAlgebra) -> HopfAlgebra | None:
@@ -360,7 +438,7 @@ def _over_prime_field(s: HopfAlgebra) -> HopfAlgebra | None:
         if m is None:
             return None
         maps.append(m)
-    unit = _vec_over_prime_field(s.unit, field.p)
+    unit = _vec_over_prime_field(s.unit, field.elements())
     if unit is None:
         return None
     mult, comul, counit, antipode = maps
@@ -369,23 +447,25 @@ def _over_prime_field(s: HopfAlgebra) -> HopfAlgebra | None:
 
 def _map_over_prime_field(m: LinearMap, field: PrimeField) -> LinearMap | None:
     cols = []
+    elements = field.elements()
     for col in m.cols:
-        col = _vec_over_prime_field(col, field.p)
+        col = _vec_over_prime_field(col, elements)
         if col is None:
             return None
         cols.append(col)
     return LinearMap(field, m.source_dim, m.target_dim, cols)
 
 
-def _vec_over_prime_field(vec: dict, p: int) -> dict | None:
-    """vec with each constant c/1 of F_p(t) or F_p[t]_(t) as c in F_p; None at
-    the first entry that is not such a constant."""
+def _vec_over_prime_field(vec: dict, elements: list) -> dict | None:
+    """vec with each constant c/1 of F_p(t) or F_p[t]_(t) as c in F_p, taken
+    from elements (the p elements of F_p, shared since they are immutable);
+    None at the first entry that is not such a constant."""
     out = {}
     for i, c in vec.items():
         num = c.num.coeffs
         if len(num) > 1 or c.den.coeffs != (1,):
             return None
-        out[i] = FpElement(num[0] if num else 0, p)
+        out[i] = elements[num[0] if num else 0]
     return out
 
 
@@ -418,12 +498,19 @@ def _is_flip_asymmetric(u: dict, r: int) -> bool:
     return rows != cols
 
 
-def _sum(vecs) -> dict:
+def _sum(vecs, p: int | None = None) -> dict:
+    """Sum of sparse vectors; p is the modulus of int residues."""
     out: dict = {}
+    if p is None:
+        for v in vecs:
+            for i, c in v.items():
+                _acc(out, i, c)
+        return out
+    get = out.get
     for v in vecs:
         for i, c in v.items():
-            _acc(out, i, c)
-    return out
+            out[i] = get(i, 0) + c
+    return _reduced(out, p)
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +598,20 @@ def specialize_linear_map(m: LinearMap, fiber: Fiber) -> LinearMap:
 
 
 class CatalogEntry:
-    __slots__ = ("name", "p", "k", "fiber", "hopf")
+    """A verified catalog object.  checked is the structure its verification
+    ran on (checked_structure); the checkers take it in place of hopf, so
+    the entry is not descended or converted again."""
 
-    def __init__(self, name: str, p: int, k: int, fiber: Fiber, hopf: object):
+    __slots__ = ("name", "p", "k", "fiber", "hopf", "checked")
+
+    def __init__(self, name: str, p: int, k: int, fiber: Fiber, hopf: object,
+                 checked: object = None):
         self.name = name
         self.p = p
         self.k = k
         self.fiber = fiber
         self.hopf = hopf  # HopfPresentation or HopfAlgebra
+        self.checked = hopf if checked is None else checked
 
     @property
     def order(self) -> int:
@@ -557,10 +650,11 @@ def catalog_build(name: str, p: int, k: int = 1, fiber: Fiber = Fiber.SPECIAL) -
         h = _constant_cyclic_structure(ring, q)
     else:
         raise UnsupportedParametersError(f"unknown catalog name {name!r}")
-    report = verify_axioms(h)
+    checked = checked_structure(h)
+    report = verify_axioms(checked)
     if not report.ok:
         raise AssertionError(f"catalog entry {name} failed verification: {report.summary()}")
-    return CatalogEntry(name, p, k, fiber, h)
+    return CatalogEntry(name, p, k, fiber, h, checked)
 
 
 def _constant_cyclic_structure(ring, q: int) -> HopfAlgebra:
@@ -729,21 +823,25 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
     """Verify that a given linear map is a Hopf algebra isomorphism.
 
     Nothing is searched for: the candidate map must be supplied, and every
-    structure-compatibility identity is checked mechanically.
+    structure-compatibility identity is checked mechanically.  h1 and h2
+    may be given as checked_structure gives them; the ring, rank and map
+    checks then read the structures they were made from.
     """
     s1, s2 = as_structure(h1), as_structure(h2)
+    # A residue structure stands for the structure it was made from.
+    o1, o2 = s1.source or s1, s2.source or s2
     report = IsoReport()
 
     def record(name, passed, detail=None):
         report.checks.append(IsoCheck(name, passed, None if passed else detail))
         return passed
 
-    if not record("base rings agree", s1.ring == s2.ring,
-                  f"{s1.ring.tag} vs {s2.ring.tag}"):
+    if not record("base rings agree", o1.ring == o2.ring,
+                  f"{o1.ring.tag} vs {o2.ring.tag}"):
         return report
-    if not record("ranks agree", s1.rank == s2.rank, f"{s1.rank} vs {s2.rank}"):
+    if not record("ranks agree", o1.rank == o2.rank, f"{o1.rank} vs {o2.rank}"):
         return report
-    r = s1.rank
+    r = o1.rank
     if not record("map shape", phi.source_dim == r and phi.target_dim == r,
                   f"{phi.source_dim} -> {phi.target_dim}"):
         return report
@@ -757,7 +855,7 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
 
     # Descend only now: the ring check and the invertibility detail above
     # name the rings the caller passed.
-    s1, s2, phi = _iso_over_prime_field(s1, s2, phi) or (s1, s2, phi)
+    s1, s2, phi = _iso_residue_form(s1, s2, phi, o1.ring) or (o1, o2, phi)
     record("unit preserved", phi.apply(s1.unit) == s2.unit)
     checks = (
         ("multiplication preserved", _first_pair(
@@ -774,21 +872,25 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
     return report
 
 
-def _iso_over_prime_field(s1: HopfAlgebra, s2: HopfAlgebra, phi: LinearMap):
-    """(s1, s2, phi) over F_p when all three are t-free over the one ring
-    they share, else None."""
-    if phi.ring != s1.ring:
+def _iso_residue_form(s1: HopfAlgebra, s2: HopfAlgebra, phi: LinearMap, ring):
+    """(s1, s2, phi) on int residues when phi is over the caller's ring and
+    all three are over F_p or have every constant in F_p, else None.
+
+    phi is tried first and s1 last: in the pipeline phi or s2 is the side
+    that involves t, and then no structure is converted in vain.
+    """
+    if phi.ring != ring:
         return None
-    d1 = _over_prime_field(s1)
-    if d1 is None:
-        return None
-    d2 = _over_prime_field(s2)
-    if d2 is None:
-        return None
-    dphi = _map_over_prime_field(phi, d1.ring)
+    dphi = phi if isinstance(ring, PrimeField) else _map_over_prime_field(phi, PrimeField(ring.p))
     if dphi is None:
         return None
-    return d1, d2, dphi
+    d2 = _residue_form(s2)
+    if d2 is None:
+        return None
+    d1 = _residue_form(s1)
+    if d1 is None:
+        return None
+    return d1, d2, dphi.residues() if d1.modulus else dphi
 
 
 # ---------------------------------------------------------------------------
@@ -1049,11 +1151,14 @@ def double_dual_report(h) -> IsoReport:
 
     The guard runs once: the dual's multiplication is the transpose of the
     comultiplication of h, so the dual is commutative exactly when h is
-    cocommutative, and cocommutative exactly when h is commutative.
+    cocommutative, and cocommutative exactly when h is commutative.  A
+    residue structure h (CatalogEntry.checked) is checked as it is, and the
+    double dual is built from the structure it was made from.
     """
     s = as_structure(h)
-    dd = _transpose(cartier_dual(s))
-    return exhibit_isomorphism(s, dd, LinearMap.identity(s.ring, s.rank))
+    source = s.source or s
+    dd = _transpose(cartier_dual(source))
+    return exhibit_isomorphism(s, dd, LinearMap.identity(source.ring, source.rank))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for Hopf structures: the deformation, its fibers, duality, quotients."""
 
+import gc
 import hashlib
 import json
 import random
@@ -22,6 +23,7 @@ from hopfdeform.hopf import (
     AxiomReport,
     CatalogEntry,
     HopfAlgebra,
+    HopfPresentation,
     IsoCheck,
     IsoReport,
     MUTATIONS,
@@ -49,7 +51,13 @@ from hopfdeform.hopf import (
     verify_axioms,
 )
 from hopfdeform import cli, hopf
-from hopfdeform.algebra import LinearMap
+from hopfdeform.algebra import (
+    AlgebraElement,
+    LinearMap,
+    MonomialQuotientAlgebra,
+    tensor_apply_left,
+    tensor_apply_right,
+)
 from hopfdeform.rings import Fiber, LocalRing, PrimeField
 
 PRIMES = [2, 3]
@@ -1088,3 +1096,206 @@ class TestDescentOracle:
         details = {c["detail"].rsplit(" over ", 1)[1] for rep in on for c in rep["checks"]
                    if c["name"] == "map is invertible" and not c["passed"]}
         assert details == {"F2(t)", "F2[t]_(t)", "F3(t)", "F3[t]_(t)"}
+
+
+def residues_of(vec):
+    return {i: c.residue for i, c in vec.items()}
+
+
+class TestResidueKernels:
+    """On a residue structure each kernel gives the residues of what it gives
+    on the FpElement structure the residues came from, zeros dropped."""
+
+    @staticmethod
+    def vectors(rng, ring, dim, count, density):
+        return [{i: ring.from_int(rng.randrange(1, ring.p)) for i in range(dim)
+                 if rng.random() < density} for _ in range(count)]
+
+    @pytest.mark.parametrize("p", PRIMES + [5])
+    def test_kernels_agree_with_the_element_loops(self, p):
+        structures = [as_structure(specialize_hopf(deformation_hopf(p), Fiber.SPECIAL)),
+                      as_structure(catalog_build("constant_cyclic", p, 2).hopf)]
+        if p == 3:
+            structures.append(TestKernelsAgainstDenseReference.sweedler())
+        for s in structures:
+            d = hopf._residue_form(s)
+            assert (d.modulus, d.source, d.ring, d.labels) == (p, s, s.ring, s.labels)
+            assert d.unit == residues_of(s.unit) and hopf._residue_form(d) is d
+            r = s.rank
+            rng = random.Random(p)
+            singles = self.vectors(rng, s.ring, r, 6, 0.5) + [{i: s.ring.one()} for i in range(r)]
+            squares = list(s.comul.cols) + self.vectors(rng, s.ring, r * r, 3, 0.2)
+            for u in singles:
+                for v in singles[::3]:
+                    assert d.vec_mult(residues_of(u), residues_of(v)) == residues_of(
+                        s.vec_mult(u, v))
+                    assert hopf._outer(residues_of(u), residues_of(v), r, p) == residues_of(
+                        hopf._outer(u, v, r))
+                assert d.antipode.apply(residues_of(u)) == residues_of(s.antipode.apply(u))
+                assert d.comul.apply(residues_of(u)) == residues_of(s.comul.apply(u))
+            for u in squares[::2]:
+                for v in squares[1::3]:
+                    assert d.square_mult(residues_of(u), residues_of(v)) == residues_of(
+                        s.square_mult(u, v))
+                assert tensor_apply_left(d.comul, r, residues_of(u)) == residues_of(
+                    tensor_apply_left(s.comul, r, u))
+                assert tensor_apply_right(d.comul, residues_of(u)) == residues_of(
+                    tensor_apply_right(s.comul, u))
+                assert tensor_apply_right(d.counit, residues_of(u)) == residues_of(
+                    tensor_apply_right(s.counit, u))
+
+    def test_sums_that_cancel_leave_no_entry(self):
+        F = PrimeField(3)
+        rng = random.Random(11)
+        for u in self.vectors(rng, F, 9, 5, 0.6):
+            minus = {i: -c for i, c in u.items()}
+            assert hopf._sum([residues_of(u), residues_of(minus)], 3) == {}
+            assert hopf._sum([residues_of(u)] * 2, 3) == residues_of(hopf._sum([u, u]))
+        # The all-ones functional: 1 + 2 and 2 + 2 + 2 vanish mod 3, 2 + 2 does not.
+        ones = LinearMap(F, 3, 1, [{0: F.one()}] * 3).residues()
+        assert ones.apply({0: 1, 1: 2}) == {} and ones.apply({0: 2, 1: 2, 2: 2}) == {}
+        assert ones.apply({0: 2, 1: 2}) == {0: 1}
+        assert tensor_apply_right(ones, {0: 1, 1: 2, 3: 1}) == {1: 1}
+        assert tensor_apply_left(ones, 1, {0: 1, 1: 2, 2: 1}) == {0: 1}
+        # A residue map holds ints in [1, p) and keeps its shape.
+        s = as_structure(specialize_hopf(deformation_hopf(3), Fiber.SPECIAL))
+        m = s.comul.residues()
+        assert (m.modulus, m.ring, m.source_dim, m.target_dim) == (3, s.ring, 9, 81)
+        assert all(1 <= c < 3 for col in m.cols for c in col.values())
+        assert s.comul.modulus is None
+
+
+class TestResidueOracle:
+    """verify_axioms and exhibit_isomorphism give the same report on int
+    residues as on the FpElement structure they are made from, on every base
+    of TestReportOracle and on the p = 5 catalog entries on both fibers, and
+    on seeded broken samples made with TestReportOracle's bump scheme."""
+
+    SAMPLES_PER_BASE = 24
+    SAMPLES_PER_P5_BASE = 8
+
+    def bases(self):
+        out = [(s, self.SAMPLES_PER_BASE) for s in TestReportOracle.bases()]
+        for fiber in Fiber:
+            for name, k in (("alpha_p", 1), ("mu", 1), ("mu", 2),
+                            ("constant_cyclic", 1), ("constant_cyclic", 2)):
+                s = as_structure(catalog_build(name, 5, k, fiber).hopf)
+                out.append((s, self.SAMPLES_PER_P5_BASE))
+        return out
+
+    def reports(self):
+        rng = random.Random(20261020)
+        oracle = TestReportOracle()
+        out = []
+        for s, samples in self.bases():
+            ident = LinearMap.identity(s.ring, s.rank)
+            out.append(verify_axioms(s).to_dict())
+            out.append(exhibit_isomorphism(s, s, ident).to_dict())
+            for _ in range(samples):
+                b = oracle.broken(rng, s)
+                phi = oracle.bumped(rng, ident, s.ring) if rng.randrange(4) else ident
+                out.append(verify_axioms(b).to_dict())
+                out.append(exhibit_isomorphism(s, b, phi).to_dict())
+        return out
+
+    def test_residues_change_no_report(self, monkeypatch):
+        real = hopf._residues
+        converted = []
+        monkeypatch.setattr(hopf, "_residues",
+                            lambda s, source: converted.append(source) or real(s, source))
+        on = self.reports()
+        # Off: the checkers run on the FpElement structure with the element loops.
+        monkeypatch.setattr(hopf, "_residues", lambda s, source: s)
+        off = self.reports()
+        assert on == off
+        assert len(converted) > 500
+        assert {s.ring.tag for s in converted} >= {"F2", "F3", "F5", "F2(t)", "F5(t)"}
+        failed = {c["name"] for rep in on for c in rep["checks"] if not c["passed"]}
+        assert failed == set(REQUIRED_CHECKS + ISO_CHECKS[3:]) | {
+            "comultiplication is cocommutative"}
+        offenders = {c["detail"] for rep in on for c in rep["checks"] if not c["passed"]}
+        assert len(offenders) > 50
+
+
+class TestDescentPerCommand:
+    def test_dual_descends_and_converts_each_structure_once(self, capsys, monkeypatch):
+        # mu, the constant entry, the dual and the double dual: four
+        # structures, each descended to F_5 once and converted once.
+        descended, converted = [], []
+        real_descend, real_convert = hopf._over_prime_field, hopf._residues
+
+        def descend(s):
+            descended.append(s)
+            return real_descend(s)
+
+        def convert(s, source):
+            converted.append(source)
+            return real_convert(s, source)
+
+        monkeypatch.setattr(hopf, "_over_prime_field", descend)
+        monkeypatch.setattr(hopf, "_residues", convert)
+        argv = ["--format", "json", "dual", "--p", "5", "--fiber", "generic", "--power", "2",
+                "--name", "mu"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1cfdfbfd147b435044196bd4ccbc29f115d51f3896cb1017be9381d4b4a8afc7")
+        assert len(descended) == 4 and len({id(s) for s in descended}) == 4
+        assert [id(s) for s in converted] == [id(s) for s in descended]
+        assert [s.labels[1] for s in descended] == ["z", "d1", "z*", "(z*)*"]
+
+    def test_verify_converts_each_structure_once(self, capsys, monkeypatch):
+        # The special fiber is checked twice (its axioms and its splitting)
+        # and converted once; so are the catalog objects the steps compare with.
+        real = hopf._residues
+        converted = []
+        monkeypatch.setattr(hopf, "_residues",
+                            lambda s, source: converted.append(source) or real(s, source))
+        assert cli.main(["--format", "json", "verify", "--p", "3"]) == 0
+        capsys.readouterr()
+        assert len(converted) == len({id(s) for s in converted}) == 5
+        assert [s.labels[1] for s in converted] == ["y", "x", "1⊗x", "z", "d1"]
+
+
+class TestResidueCopiesDoNotOutliveTheCheck:
+    """verify_axioms keeps no residue copy reachable from what it checked."""
+
+    @staticmethod
+    def reachable(root):
+        kinds = (HopfAlgebra, HopfPresentation, LinearMap, MonomialQuotientAlgebra,
+                 AlgebraElement, dict, list, tuple)
+        seen, stack, out = set(), [root], []
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            out.append(obj)
+            if isinstance(obj, kinds):
+                stack.extend(gc.get_referents(obj))
+        return out
+
+    @pytest.mark.parametrize("which", ["special-fiber", "generic-mu", "generic-constant",
+                                       "special-constant", "deformation"])
+    def test_no_residue_copy_is_reachable(self, which):
+        if which == "special-fiber":
+            h = specialize_hopf(deformation_hopf(3), Fiber.SPECIAL)
+        elif which == "deformation":
+            h = deformation_hopf(2)
+        else:
+            fiber = Fiber.SPECIAL if which.startswith("special") else Fiber.GENERIC
+            name = "mu" if which.endswith("mu") else "constant_cyclic"
+            h = catalog_build(name, 3, 2, fiber).hopf
+        s = as_structure(h)
+        before = self.reachable(h)
+        assert verify_axioms(h).ok
+        after = self.reachable(h)
+        assert len(after) == len(before)
+        for obj in after:
+            if isinstance(obj, HopfAlgebra):
+                assert obj.source is None and obj.modulus is None
+            if isinstance(obj, LinearMap):
+                assert obj.modulus is None
+        # The walk reaches the fields of the structure itself.
+        ids = {id(obj) for obj in after}
+        assert {id(s), id(s.mult), id(s.unit), id(s.comul), id(s.antipode)} <= ids
