@@ -7,20 +7,33 @@ via f(x) -> f(x + b).  The module checks the action laws, enumerates
 stabilizers, and certifies symbolically that translation is free wherever
 the top coefficient is a unit: the obstruction in degree top - e_i equals
 (p-1) * c_top * b_i on the nose.
+
+The free-locus command enumerates the action points once and hands the
+list to both of its checks.  Frobenius is F_p-linear on a test algebra, so
+the nilpotent coordinates are the kernel of one residue matrix, the p-th
+powers of the basis monomials.  The hyperplane probes form each
+multiplication matrix as a residue combination of the basis-monomial
+matrices, built once per call; probe blocks with equal content are one
+shared tuple, evaluated once per candidate.  A random trial reads its
+values from one block of Mersenne Twister words, in the order that
+successive randrange(p) calls on the same generator would return them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
 
 from .algebra import (
     AlgebraElement,
+    LinearMap,
     MonomialQuotientAlgebra,
     _acc,
     invert_unit,
     multiplication_matrix,
+    null_space,
 )
 from .errors import (
     ContextMismatchError,
@@ -32,6 +45,9 @@ from .rings import Prime, PrimeField
 
 DEFAULT_SEED = 20260823
 POINT_ENUMERATION_CAP = 10**6
+# Mersenne Twister words read ahead per value of a random trial (see
+# _randrange_block); a trial that needs more continues with randrange.
+DRAW_WORDS_PER_VALUE = 3
 
 
 def binom_mod_p(m: int, j: int, p: int) -> int:
@@ -269,7 +285,11 @@ def translate(f: RegularRepElement, point: ActionPoint, table: dict | None = Non
     for a, c in f.coefficients.items():
         for j, factor in table[a].items():
             _acc(out, j, c * factor)
-    return RegularRepElement(f.p, f.n, f.coefficient_algebra, out)
+    # the keys come from the table and _acc keeps only nonzero products in
+    # B, so the result needs none of __init__'s validation
+    g = object.__new__(RegularRepElement)
+    g.p, g.n, g.coefficient_algebra, g.coefficients = f.p, f.n, f.coefficient_algebra, out
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +323,32 @@ def enumerate_action_points(p: int, n: int, B) -> list:
     size = (p**B.rank) ** n
     if size > POINT_ENUMERATION_CAP:
         raise SizeGuardError(f"|B|^n = {size} exceeds the enumeration cap {POINT_ENUMERATION_CAP}")
-    nilpotents = [e for e in enumerate_elements(B) if _pth_power(e).is_zero()]
+    from_int = B.ring.from_int
+    basis = list(B.iter_basis())  # one key tuple per basis monomial, shared by every point
+    nilpotents = [AlgebraElement(B, {exps: from_int(k) for exps, k in zip(basis, v) if k})
+                  for v in _frobenius_kernel(B)]
     return [ActionPoint(coords) for coords in itertools.product(nilpotents, repeat=n)]
+
+
+def _frobenius_kernel(B) -> list:
+    """Residue vectors of the c in B with c^p = 0, in enumerate_elements order.
+
+    c -> c^p is F_p-linear on a commutative F_p-algebra, so these form the
+    null space of the matrix whose columns are the p-th powers of the basis
+    monomials; every F_p-combination of a kernel basis is listed once and
+    sorted, which is the lexicographic order enumerate_elements follows.
+    """
+    p, rank = B.ring.p, B.rank
+    frobenius = LinearMap(B.ring, rank, rank,
+                          [_pth_power(B.monomial(exps)).vec() for exps in B.iter_basis()])
+    span = [(0,) * rank]
+    for basis_vec in null_space(frobenius):
+        step = [0] * rank
+        for i, c in basis_vec.items():
+            step[i] = c.residue
+        span = [tuple((x + k * d) % p for x, d in zip(v, step))
+                for v in span for k in range(p)]
+    return sorted(span)
 
 
 def stabilizer(f: RegularRepElement) -> list:
@@ -329,18 +373,21 @@ def spanning_elements(p: int, n: int, B) -> list:
 
 
 def is_action(p, n, B, translate_fn=translate, max_pairs: int = 500,
-              seed: int = DEFAULT_SEED) -> bool:
+              seed: int = DEFAULT_SEED, points: list | None = None) -> bool:
     """Check the action laws: identity and composition of translations.
 
-    All point pairs are tried when their number is at most max_pairs;
-    beyond that a seeded sample of pairs is used.  translate_fn is called
-    with translate's own signature, (f, point, expansion_table(p, n, point));
-    each table is built on first use, so only points that occur get one.
+    points is enumerate_action_points(p, n, B), enumerated here when the
+    caller has none.  All point pairs are tried when their number is at
+    most max_pairs; beyond that a seeded sample of pairs is used.
+    translate_fn is called with translate's own signature, (f, point,
+    expansion_table(p, n, point)); each table is built on first use, so
+    only points that occur get one.
     translate_fn must be a function of its arguments: for each spanning
     element f, its value at a point is computed once and serves as both
     T_b f and T_{b+c} f, and only the outer T_c(T_b f) is taken per pair.
     """
-    points = enumerate_action_points(p, n, B)
+    if points is None:
+        points = enumerate_action_points(p, n, B)
     reps = spanning_elements(p, n, B)
     total = len(points) ** 2
     if total <= max_pairs:
@@ -483,28 +530,50 @@ def hyperplane_probes(p: int, n: int, points) -> list:
     The probe holds, per direction i, the monomial tau = x^top / x_i, the
     monomials a with x^tau in the expansion of (x + b)^a, and the rows of
     [M_a1 | M_a2 | ...]: M_a is the matrix of c -> c * table[a][tau] on B
-    as rank x rank int residues (row r, column s), built by multiplying
-    the basis monomials.  Applied to f's stacked coefficients it gives the
-    coefficient of x^tau in f(x + b); translation fixes f only if that
-    equals f's own, so a mismatch proves the point moves f without a full
-    translate.
+    as rank x rank int residues (row r, column s).  Applied to f's stacked
+    coefficients it gives the coefficient of x^tau in f(x + b); translation
+    fixes f only if that equals f's own, so a mismatch proves the point
+    moves f without a full translate.
+
+    M_a is linear in table[a][tau], so it is the residue combination of the
+    rank basis-monomial matrices, which are built once per call.  Entries
+    (tau, keys, rows) with equal content are one shared tuple, which
+    _probe_passes evaluates once per candidate.
     """
     monomials = list(itertools.product(range(p), repeat=n))
+    taus = [tuple(p - 1 - (j == i) for j in range(n)) for i in range(n)]
+    nonzero = [pt for pt in points if not pt.is_zero()]
+    if not nonzero:
+        return []
+    B = nonzero[0].algebra
+    rank = B.rank
+    # per basis monomial m_s, the nonzero entries (r, t, residue) of c -> c * m_s
+    units = [[(r, t, c.residue)
+              for t, col in enumerate(multiplication_matrix(B.monomial(exps)).cols)
+              for r, c in col.items()]
+             for exps in B.iter_basis()]
+
+    def matrix(z):
+        # rows of c -> c * z on B, for the residue vector z
+        rows = [[0] * rank for _ in range(rank)]
+        for k, unit in zip(z, units):
+            if k:
+                for r, t, u in unit:
+                    rows[r][t] += k * u
+        return [[x % p for x in row] for row in rows]
+
+    entries: dict = {}  # each distinct entry, shared by every point that has it
     prepared = []
-    for pt in points:
-        if pt.is_zero():
-            continue
-        rank = pt.algebra.rank
+    for pt in nonzero:
         table = expansion_table(p, n, pt)
         probe = []
-        for i in range(n):
-            tau = tuple(p - 1 - (1 if j == i else 0) for j in range(n))
+        for tau in taus:
             keys = tuple(a for a in monomials if tau in table[a])
-            blocks = [multiplication_matrix(table[a][tau]).cols for a in keys]
-            rows = tuple(
-                tuple(col[r].residue if r in col else 0 for cols in blocks for col in cols)
-                for r in range(rank))
-            probe.append((tau, keys, rows))
+            # row r of [M_a1 | M_a2 | ...] chains row r of each M_a
+            blocks = [matrix(_residues(table[a][tau])) for a in keys]
+            entry = (tau, keys, tuple(map(tuple, map(itertools.chain.from_iterable,
+                                                     zip(*blocks)))))
+            probe.append(entries.setdefault(entry, entry))
         prepared.append((pt, table, probe))
     return prepared
 
@@ -523,13 +592,19 @@ def _probe_passes(vectors: dict, probes: list, p: int) -> list:
     f(x + b) agrees with f's own mod p.
     """
     stacked: dict = {}
+    verdicts: dict = {}  # by id, while probes keeps every entry alive
     passed = []
     for pt, table, probe in probes:
-        for tau, keys, rows in probe:
-            v = stacked.get(keys)
-            if v is None:
-                v = stacked[keys] = [x for a in keys for x in vectors[a]]
-            if [sum(map(operator.mul, row, v)) % p for row in rows] != vectors[tau]:
+        for entry in probe:
+            ok = verdicts.get(id(entry))
+            if ok is None:
+                tau, keys, rows = entry
+                v = stacked.get(keys)
+                if v is None:
+                    v = stacked[keys] = [x for a in keys for x in vectors[a]]
+                ok = verdicts[id(entry)] = (
+                    [sum(map(operator.mul, row, v)) % p for row in rows] == vectors[tau])
+            if not ok:
                 break
         else:
             passed.append((pt, table))
@@ -549,14 +624,44 @@ def probed_stabilizer(f: RegularRepElement, probes: list) -> list:
             if translate(f, pt, table) == f]
 
 
+def _randrange_block(rng: random.Random, p: int, words: int) -> list:
+    """The values that successive rng.randrange(p) calls would return next,
+    read from one rng.getrandbits(32 * words) block.
+
+    randrange(p) keeps the top k = p.bit_length() bits of one 32-bit word
+    and rejects values >= p; getrandbits(32 * w) returns w successive words,
+    the first in the lowest bits.  So the top byte of each word, shifted
+    down by 8 - k, filtered to values below p, is that sequence.  The
+    generator stands after the block, where randrange continues the
+    sequence.  For p above 255 the block is empty.
+    """
+    if p > 255 or not words:
+        return []
+    keep, reject = _top_bits_tables(p)
+    return list(rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+                .translate(keep, reject))
+
+
+@functools.cache
+def _top_bits_tables(p: int) -> tuple:
+    """bytes.translate tables that map a word's top byte to its top
+    p.bit_length() bits and delete the bytes whose top bits are >= p."""
+    shift = 8 - p.bit_length()
+    return (bytes(c >> shift for c in range(256)),
+            bytes(c for c in range(256) if c >> shift >= p))
+
+
 def free_locus_hyperplane_check(p, n, B, trials: int | None = None,
-                                seed: int = DEFAULT_SEED) -> FreeLocusReport:
+                                seed: int = DEFAULT_SEED,
+                                points: list | None = None) -> FreeLocusReport:
     """Unit top coefficient forces a trivial stabilizer; test it.
 
     trials = None enumerates every element with a unit coefficient at
     x_1^{p-1}...x_n^{p-1}; a positive count runs that many seeded random
     trials (trial k is drawn from seed + k, so batches are order-free).
     Any element fixed by a nonzero point is reported with full data.
+    points is enumerate_action_points(p, n, B), enumerated here when the
+    caller has none.
 
     Candidates are residue vectors, one per x-monomial, drawn in the order
     of enumerate_elements, random_algebra_element and _random_unit; f is
@@ -564,7 +669,8 @@ def free_locus_hyperplane_check(p, n, B, trials: int | None = None,
     """
     p = Prime(p).p
     _require_test_algebra(B)
-    points = enumerate_action_points(p, n, B)
+    if points is None:
+        points = enumerate_action_points(p, n, B)
     monomials = list(itertools.product(range(p), repeat=n))
     top = (p - 1,) * n
     rank = B.rank
@@ -603,15 +709,26 @@ def free_locus_hyperplane_check(p, n, B, trials: int | None = None,
         return FreeLocusReport(p, n, describe_test_algebra(B), "exhaustive", checked, None,
                                len(points), failures)
 
+    # one generator, reseeded per trial; its values come from one block of
+    # words, then from randrange once the block runs out
+    rng = random.Random()
+    randrange = rng.randrange
+    drawn = len(monomials) * rank
+    words = DRAW_WORDS_PER_VALUE * (drawn + rank)
     for k in range(trials):
-        randrange = random.Random(seed + k).randrange
-        vectors = {a: [randrange(p) for _ in range(rank)] for a in monomials}
+        rng.seed(seed + k)
+        values = _randrange_block(rng, p, words)
+        at = drawn  # the vectors of the monomials come first, then the unit tries
         for _ in range(1000):
-            v = [randrange(p) for _ in range(rank)]
+            while len(values) < at + rank:
+                values.append(randrange(p))
+            v = values[at:at + rank]
+            at += rank
             if is_unit(v):
                 break
         else:
             raise AssertionError("unit sampling failed; the algebra has almost no units")
+        vectors = {a: values[i:i + rank] for a, i in zip(monomials, range(0, drawn, rank))}
         vectors[top] = v
         f, hits = non_free(vectors)
         if hits:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from .errors import (
     ContextMismatchError,
@@ -314,18 +315,20 @@ class AlgebraElement:
 
     def __mul__(self, other):
         A = self.algebra
-        if isinstance(other, int):
-            other = A.scalar(A.ring.from_int(other))
-        elif isinstance(other, A.ring.element_cls):
-            other = A.scalar(other)
-        other = self._check(other)
+        # an element of this very algebra needs no conversion and no check
+        if type(other) is not AlgebraElement or other.algebra is not A:
+            if isinstance(other, int):
+                other = A.scalar(A.ring.from_int(other))
+            elif isinstance(other, A.ring.element_cls):
+                other = A.scalar(other)
+            other = self._check(other)
         out = {}
         reduce = A._reduce
+        add = operator.add
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 c = c1 * c2
-                prod = tuple(a + b for a, b in zip(e1, e2))
-                for em, cm in reduce(prod).items():
+                for em, cm in reduce(tuple(map(add, e1, e2))).items():
                     _acc(out, em, c * cm)
         return AlgebraElement(A, out)
 

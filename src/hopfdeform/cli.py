@@ -24,6 +24,7 @@ from json.encoder import encode_basestring_ascii
 from .action import (
     DEFAULT_SEED,
     describe_test_algebra,
+    enumerate_action_points,
     free_locus_hyperplane_check,
     is_action,
     universal_leading_coefficient_identity,
@@ -518,9 +519,11 @@ def run_free_locus(args):
             f"test algebra {args.test_algebra!r} has characteristic {B.ring.p} "
             f"but --p is {args.p}")
 
-    action_ok = is_action(args.p, args.n, B, seed=args.seed)
+    # both checks run over the same points, enumerated once
+    points = enumerate_action_points(args.p, args.n, B)
+    action_ok = is_action(args.p, args.n, B, seed=args.seed, points=points)
     report = free_locus_hyperplane_check(
-        args.p, args.n, B, trials=args.trials, seed=args.seed)
+        args.p, args.n, B, trials=args.trials, seed=args.seed, points=points)
 
     try:
         cert = universal_leading_coefficient_identity(args.p, args.n)

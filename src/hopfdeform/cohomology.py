@@ -220,14 +220,20 @@ def minimal_n_for_jump(query: JumpQuery) -> int:
     The excess C(2n+i-1, i) - C(n+i-1, i) counts the degree-i monomials in 2n
     variables that involve at least one of the last n.  It grows strictly with
     n, and it is at least n: x_1^(i-1) times each of those n variables.  So the
-    answer lies in 1..gap and bisection finds it; the assert re-checks that it
-    is the least.
+    answer lies in 1..gap.  The search doubles hi from 1 until the excess at hi
+    reaches the gap, then bisects over (hi/2, hi], so no n past twice the
+    answer is evaluated (the binomials grow with n); the assert re-checks
+    that the answer is the least.
     """
     def excess(n: int) -> int:
         return (dim_classifying(n, query.degree, Fiber.SPECIAL)
                 - dim_classifying(n, query.degree, Fiber.GENERIC))
 
-    n = 1 + bisect.bisect_left(range(1, query.gap + 1), query.gap, key=excess)
+    hi = 1
+    while excess(hi) < query.gap:
+        hi *= 2
+    lo = hi // 2
+    n = lo + 1 + bisect.bisect_left(range(lo + 1, hi + 1), query.gap, key=excess)
     assert (excess(n - 1) if n > 1 else 0) < query.gap <= excess(n), \
         "dimension excess is not monotone in n"
     return n

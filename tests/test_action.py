@@ -34,6 +34,7 @@ from hopfdeform.action import (
     zero_point,
 )
 from hopfdeform import action as action_module
+from hopfdeform import cli as cli_module
 from hopfdeform.cli import FORMAT_ENV_VAR, main
 from hopfdeform.algebra import MonomialQuotientAlgebra
 from hopfdeform.errors import (
@@ -854,3 +855,186 @@ class TestElementBasics:
         f = RegularRepElement(2, 2, B, {(1, 0): B.one() + eps, (0, 0): eps})
         assert str(f) == "e + (1 + e)*x1"
         assert str(RegularRepElement(2, 1, B, {})) == "0"
+
+
+def element_draws(p, n, B, trials, seed):
+    """The residue vectors of free_locus_hyperplane_check's random trials, drawn
+    on the element path: random_algebra_element per x-monomial, then
+    _random_unit for the top one, each trial from random.Random(seed + k)."""
+    monomials = list(itertools.product(range(p), repeat=n))
+    out = []
+    for k in range(trials):
+        rng = random.Random(seed + k)
+        coeffs = {a: random_algebra_element(rng, B) for a in monomials}
+        coeffs[(p - 1,) * n] = action_module._random_unit(rng, B)
+        out.append({a: action_module._residues(c) for a, c in coeffs.items()})
+    return out
+
+
+class TestSharedWork:
+    """The free-locus command enumerates its points once, builds its probe
+    matrices from the basis monomials, shares equal probe entries, reads its
+    random values from one block per trial and translates without
+    revalidating."""
+
+    def test_command_enumerates_the_points_once(self, monkeypatch, capsys):
+        honest = action_module.enumerate_action_points
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return honest(*args)
+
+        for module in (action_module, cli_module):
+            monkeypatch.setattr(module, "enumerate_action_points", counting, raising=False)
+        assert main(["--format", "json", "free-locus", "--p", "3", "--n", "2",
+                     "--test-algebra", "F3[e]/(e^2)", "--trials", "20"]) == 0
+        assert json.loads(capsys.readouterr().out)["free_locus"]["points"] == 9
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p,n,B", TestHyperplaneProbe.CASES, ids=TestHyperplaneProbe.IDS)
+    def test_probes_build_at_most_rank_matrices(self, monkeypatch, p, n, B):
+        honest = action_module.multiplication_matrix
+        built = []
+
+        def counting(a):
+            built.append(a)
+            return honest(a)
+
+        points = enumerate_action_points(p, n, B)
+        monkeypatch.setattr(action_module, "multiplication_matrix", counting)
+        probes = hyperplane_probes(p, n, points)
+        assert probes
+        assert len(built) <= B.rank
+
+    @staticmethod
+    def entries(probes):
+        return [entry for _, _, probe in probes for entry in probe]
+
+    @pytest.mark.parametrize("p,n,B", [
+        (2, 2, trunc_algebra(2, ("e", 2))),
+        (2, 2, trunc_algebra(2, ("e", 2), ("d", 2))),
+        (3, 2, trunc_algebra(3, ("e", 2))),
+    ])
+    def test_equal_probe_entries_are_one_tuple(self, p, n, B):
+        entries = self.entries(hyperplane_probes(p, n, enumerate_action_points(p, n, B)))
+        ids = {}
+        for entry in entries:
+            ids.setdefault(entry, set()).add(id(entry))
+        assert all(len(same) == 1 for same in ids.values())
+        assert len(ids) < len(entries)  # points that share a coordinate share its entry
+
+    def test_each_shared_entry_is_evaluated_once_per_candidate(self):
+        # rows that count their iterations, one object per distinct entry
+        p, n, B = 3, 2, trunc_algebra(3, ("e", 2))
+        iterations = {}
+
+        class CountingRows(tuple):
+            def __iter__(self):
+                iterations[id(self)] = iterations.get(id(self), 0) + 1
+                return super().__iter__()
+
+        shared = {}
+        probes = [
+            (pt, table, [shared.setdefault(entry, (entry[0], entry[1], CountingRows(entry[2])))
+                         for entry in probe])
+            for pt, table, probe in hyperplane_probes(p, n, enumerate_action_points(p, n, B))]
+        assert len(shared) < len(self.entries(probes))
+        monomials = list(itertools.product(range(p), repeat=n))
+        for draws in element_draws(p, n, B, trials=30, seed=11):
+            iterations.clear()
+            assert action_module._probe_passes(draws, probes, p) == []
+            assert iterations and max(iterations.values()) == 1
+            # a constant f passes every probe, each entry still read once
+            iterations.clear()
+            constant = {a: [0] * B.rank for a in monomials}
+            constant[(0,) * n] = draws[(0,) * n]
+            assert len(action_module._probe_passes(constant, probes, p)) == len(probes)
+            assert len(iterations) == len(shared)
+            assert set(iterations.values()) == {1}
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 251, 257])
+    def test_block_reads_the_randrange_sequence(self, p):
+        for seed in range(40):
+            rng = random.Random(seed)
+            block = action_module._randrange_block(rng, p, 16)
+            assert len(block) <= 16
+            if p > 255:
+                assert block == []
+            got = block + [rng.randrange(p) for _ in range(20)]
+            reference = random.Random(seed)
+            assert got == [reference.randrange(p) for _ in got]
+
+    @pytest.mark.parametrize("p,n,B,trials,words", [
+        (2, 2, trunc_algebra(2, ("e", 2), ("d", 2)), 20, 1),  # half the words rejected
+        (2, 1, trunc_algebra(2, ("e", 2)), 40, 0),            # no block at all
+        (3, 2, trunc_algebra(3, ("e", 2)), 40, 1),
+        (5, 1, trunc_algebra(5, ("e", 2)), 40, 1),
+        (3, 2, IDEMPOTENT, 20, 1),
+    ])
+    def test_draws_continue_with_randrange_past_the_block(self, monkeypatch, p, n, B,
+                                                           trials, words):
+        monkeypatch.setattr(action_module, "DRAW_WORDS_PER_VALUE", words)
+        seen = TestResiduePath.record_vectors(monkeypatch)
+        honest = random.Random.randrange
+        fallbacks = []
+
+        def recording(self, *args):
+            fallbacks.append(args)
+            return honest(self, *args)
+
+        monkeypatch.setattr(random.Random, "randrange", recording)
+        seed = 6000 + 7 * p + n
+        free_locus_hyperplane_check(p, n, B, trials=trials, seed=seed)
+        monkeypatch.setattr(random.Random, "randrange", honest)
+        assert fallbacks and set(fallbacks) == {(p,)}
+        assert seen == element_draws(p, n, B, trials, seed)
+
+    def test_default_block_draws_match_the_element_draws(self, monkeypatch):
+        # p = 2 rejects half the words, so the default block is the tightest here
+        p, n, B = 2, 2, trunc_algebra(2, ("e", 2), ("d", 2))
+        seen = TestResiduePath.record_vectors(monkeypatch)
+        free_locus_hyperplane_check(p, n, B, trials=200, seed=12)
+        assert seen == element_draws(p, n, B, 200, 12)
+
+    # group algebras of Z/2 x Z/2 and Z/3: their nilpotents are not spanned by
+    # monomials, so the kernel's combinations come out of lexicographic order
+    F2 = PrimeField(2)
+    KERNELS = dict(TestFrobenius.ALGEBRAS)
+    KERNELS["F2[a,b]/(a^2-1,b^2-1)"] = MonomialQuotientAlgebra(
+        F2, ("a", "b"), (2, 2), [{(0, 0): F2.one()}, {(0, 0): F2.one()}])
+    KERNELS["F3[g]/(g^3-1)"] = MonomialQuotientAlgebra(F3, ("g",), (3,), [{(0,): F3.one()}])
+
+    @pytest.mark.parametrize("B", KERNELS.values(), ids=list(KERNELS))
+    def test_frobenius_kernel_lists_the_nilpotents_in_element_order(self, monkeypatch, B):
+        p = B.ring.p
+        want = [c for c in enumerate_elements(B) if _pth_power(c).is_zero()]
+
+        def refuse(*args):
+            raise AssertionError("the points enumerated every element")
+
+        monkeypatch.setattr(action_module, "enumerate_elements", refuse)
+        assert [pt.coordinates[0] for pt in enumerate_action_points(p, 1, B)] == want
+        if p ** (2 * B.rank) <= action_module.POINT_ENUMERATION_CAP:
+            assert [pt.coordinates for pt in enumerate_action_points(p, 2, B)] == list(
+                itertools.product(want, repeat=2))
+
+    def test_translate_builds_without_revalidating(self, monkeypatch):
+        p, n, B = 3, 2, trunc_algebra(3, ("e", 3))
+        rng = random.Random(8)
+        f = RegularRepElement(p, n, B, {a: random_algebra_element(rng, B)
+                                        for a in itertools.product(range(p), repeat=n)})
+        points = enumerate_action_points(p, n, B)
+        want = [oracle_translate(f, pt) for pt in points]
+        tables = [expansion_table(p, n, pt) for pt in points]
+
+        def refuse(*args):
+            raise AssertionError("translate revalidated its result")
+
+        monkeypatch.setattr(action_module, "_require_test_algebra", refuse)
+        for pt, table, expected in zip(points, tables, want):
+            got = translate(f, pt, table)
+            assert type(got) is RegularRepElement
+            assert got == expected
+            assert (got.p, got.n) == (p, n) and got.coefficient_algebra is B
+            assert all(not c.is_zero() for c in got.coefficients.values())

@@ -385,6 +385,26 @@ class TestJumpSolver:
                 assert n >= previous
                 previous = n
 
+    @pytest.mark.parametrize("grid", ["solver-grid", "gap-1e6"])
+    def test_search_stays_below_twice_the_answer(self, monkeypatch, grid):
+        # the excess is evaluated only at n up to 2 * answer - 1: hi doubles
+        # from 1, and the bisection stays inside (hi/2, hi]
+        queries = (SOLVER_GRID if grid == "solver-grid"
+                   else [(degree, 10**6) for degree in (2, 612, 1000)])
+        honest = cohomology.dim_classifying
+        reached = []
+
+        def recording(n, degree, fiber):
+            reached.append(n)
+            return honest(n, degree, fiber)
+
+        monkeypatch.setattr(cohomology, "dim_classifying", recording)
+        for degree, gap in queries:
+            reached.clear()
+            n = minimal_n_for_jump(JumpQuery(gap, degree))
+            assert jump_excess(n, degree) >= gap > (jump_excess(n - 1, degree) if n > 1 else 0)
+            assert reached and max(reached) < 2 * n, (degree, gap, n, max(reached))
+
 
 class TestRecordConstructors:
     """The query and certificate records keep their positional order, defaults
