@@ -275,8 +275,11 @@ def _acc(out: dict, key, val):
             out[key] = s
 
 
-def _reduced(out: dict, p: int) -> dict:
-    """The int sums of out reduced mod p, without the ones that vanish."""
+def _nonzero(out: dict, p: int | None = None) -> dict:
+    """The sums of out without the ones that vanish; with a modulus p, the
+    int sums of out reduced mod p first."""
+    if p is None:
+        return {k: v for k, v in out.items() if not v.is_zero()}
     return {k: r for k, v in out.items() if (r := v % p)}
 
 
@@ -490,8 +493,10 @@ class LinearMap:
     """R-linear map stored as sparse columns over the basis index.
 
     modulus is None for columns of ring elements.  A map from residues()
-    has modulus p and int entries in [1, p); apply and the one-sided
-    tensor maps then add plain ints and reduce mod p once per output vector.
+    has modulus p and int entries in [1, p).  apply and the one-sided tensor
+    maps run one loop on either: it adds every product into the output
+    without testing it for zero, and _nonzero drops the zero sums once per
+    output vector, reducing them mod p first when the entries are residues.
     """
 
     __slots__ = ("ring", "source_dim", "target_dim", "cols", "modulus")
@@ -520,17 +525,11 @@ class LinearMap:
 
     def apply(self, vec: dict) -> dict:
         out: dict = {}
-        p = self.modulus
-        if p is None:
-            for i, c in vec.items():
-                for j, m in self.cols[i].items():
-                    _acc(out, j, c * m)
-            return out
-        get = out.get
+        get, cols = out.get, self.cols
         for i, c in vec.items():
-            for j, m in self.cols[i].items():
-                out[j] = get(j, 0) + c * m
-        return _reduced(out, p)
+            for j, m in cols[i].items():
+                out[j] = c * m if (cur := get(j)) is None else cur + c * m
+        return _nonzero(out, self.modulus)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
@@ -639,42 +638,27 @@ class LinearMap:
 def tensor_apply_left(f: LinearMap, n: int, vec: dict) -> dict:
     """Apply f (x) id_n to a sparse vector over the product index i*n + j."""
     out: dict = {}
-    p = f.modulus
-    if p is None:
-        for idx, c in vec.items():
-            i, j = divmod(idx, n)
-            for fi, fc in f.cols[i].items():
-                _acc(out, fi * n + j, c * fc)
-        return out
     get, cols = out.get, f.cols
     for idx, c in vec.items():
         i, j = divmod(idx, n)
         for fi, fc in cols[i].items():
             k = fi * n + j
-            out[k] = get(k, 0) + c * fc
-    return _reduced(out, p)
+            out[k] = c * fc if (cur := get(k)) is None else cur + c * fc
+    return _nonzero(out, f.modulus)
 
 
 def tensor_apply_right(g: LinearMap, vec: dict) -> dict:
     """Apply id (x) g to a sparse vector over the product index i*g.source + j."""
     out: dict = {}
     gs, gt = g.source_dim, g.target_dim
-    p = g.modulus
-    if p is None:
-        for idx, c in vec.items():
-            i, j = divmod(idx, gs)
-            base = i * gt
-            for gj, gc in g.cols[j].items():
-                _acc(out, base + gj, c * gc)
-        return out
     get, cols = out.get, g.cols
     for idx, c in vec.items():
         i, j = divmod(idx, gs)
         base = i * gt
         for gj, gc in cols[j].items():
             k = base + gj
-            out[k] = get(k, 0) + c * gc
-    return _reduced(out, p)
+            out[k] = c * gc if (cur := get(k)) is None else cur + c * gc
+    return _nonzero(out, g.modulus)
 
 
 def tensor_apply(f: LinearMap, g: LinearMap, vec: dict) -> dict:

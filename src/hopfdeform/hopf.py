@@ -15,11 +15,12 @@ _first_label (over basis elements) or _first_pair (over basis pairs i <= j).
 A structure over F_p, or one whose constants all lie in F_p
 (_over_prime_field), is checked as a residue structure: a HopfAlgebra over
 F_p whose tensors (and the map phi of exhibit_isomorphism) hold plain int
-residues, with modulus p on each LinearMap.  On it every kernel adds ints
-and reduces mod p once per output vector, dropping zeros there; on any
-other structure the kernels add ring elements as before.  The identity
-list is the same on both.  checked_structure converts a structure once,
-and a caller that checks it twice passes the result down.
+residues, with modulus p on each LinearMap.  Each kernel is one loop on
+either kind of scalar: it adds every product into the output without
+testing it for zero, and _nonzero drops the zero sums once per output
+vector, reducing the int sums mod p first on a residue structure.  The
+identity list is the same on both.  checked_structure converts a structure
+once, and a caller that checks it twice passes the result down.
 
 The central object built here is the order-p^2 deformation
 R[x,y]/(x^p, y^p - t*x) over F_p[t] localized at (t), whose special
@@ -36,7 +37,7 @@ from .algebra import (
     LinearMap,
     MonomialQuotientAlgebra,
     _acc,
-    _reduced,
+    _nonzero,
     algebra_hom,
     in_span,
     invert_unit,
@@ -81,7 +82,9 @@ class HopfAlgebra:
     Tensor indices follow the left-most-significant convention i*rank + j.
     A residue structure (_residues) is over F_p, holds int residues in
     [1, p) in maps of modulus p, and has as source the structure it was
-    made from; every other structure has modulus and source None.
+    made from; every other structure has modulus and source None.  The
+    products vec_mult and square_mult run the same loop on both and drop
+    zeros once per result (_nonzero).
     """
 
     __slots__ = ("ring", "labels", "mult", "unit", "comul", "counit", "antipode", "_by_left",
@@ -126,21 +129,13 @@ class HopfAlgebra:
 
     def vec_mult(self, u: dict, v: dict) -> dict:
         out: dict = {}
-        p = self.mult.modulus
-        if p is None:
-            for i, a in u.items():
-                for b, col in _nonempty_products(self._by_left[i], v):
-                    c = a * b
-                    for k, m in col.items():
-                        _acc(out, k, c * m)
-            return out
         get = out.get
         for i, a in u.items():
             for b, col in _nonempty_products(self._by_left[i], v):
                 c = a * b
                 for k, m in col.items():
-                    out[k] = get(k, 0) + c * m
-        return _reduced(out, p)
+                    out[k] = c * m if (cur := get(k)) is None else cur + c * m
+        return _nonzero(out, self.mult.modulus)
 
     def counit_of(self, u: dict):
         return self.counit.apply(u).get(0, self.ring.zero())
@@ -154,7 +149,6 @@ class HopfAlgebra:
         of v, or the pairs of nonempty product columns of e_i and e_j.
         """
         r = self.rank
-        p = self.mult.modulus
         out: dict = {}
         get = out.get
         for ij, a in u.items():
@@ -170,15 +164,6 @@ class HopfAlgebra:
             else:
                 terms = [(b, w1, w2) for k, w1 in row1.items() for l, w2 in row2.items()
                          if (b := v.get(k * r + l)) is not None]
-            if p is None:
-                for b, w1, w2 in terms:
-                    c = a * b
-                    for t1, c1 in w1.items():
-                        base = t1 * r
-                        cc1 = c * c1
-                        for t2, c2 in w2.items():
-                            _acc(out, base + t2, cc1 * c2)
-                continue
             for b, w1, w2 in terms:
                 c = a * b
                 for t1, c1 in w1.items():
@@ -186,8 +171,8 @@ class HopfAlgebra:
                     cc1 = c * c1
                     for t2, c2 in w2.items():
                         kl = base + t2
-                        out[kl] = get(kl, 0) + cc1 * c2
-        return out if p is None else _reduced(out, p)
+                        out[kl] = cc1 * c2 if (cur := get(kl)) is None else cur + cc1 * c2
+        return _nonzero(out, self.mult.modulus)
 
     def __repr__(self):
         return f"<HopfAlgebra rank {self.rank} over {self.ring.tag}>"
@@ -207,16 +192,7 @@ def _nonempty_products(row: dict, vec: dict) -> list:
 
 def _outer(u: dict, v: dict, r: int, p: int | None = None) -> dict:
     """u (x) v over the product index i*r + j; p is the modulus of int residues."""
-    if p is not None:
-        return {i * r + j: c for i, a in u.items() for j, b in v.items() if (c := a * b % p)}
-    out = {}
-    for i, a in u.items():
-        base = i * r
-        for j, b in v.items():
-            c = a * b
-            if not c.is_zero():
-                out[base + j] = c
-    return out
+    return _nonzero({i * r + j: a * b for i, a in u.items() for j, b in v.items()}, p)
 
 
 class HopfPresentation:
@@ -407,10 +383,11 @@ def _residues(s: HopfAlgebra, source: HopfAlgebra) -> HopfAlgebra:
     """s, a structure over F_p, with every scalar as its int residue.
 
     The kernels (LinearMap.apply, tensor_apply_left/right, vec_mult,
-    square_mult, _outer, _sum) then add plain ints and reduce mod p once per
-    output vector, and two vectors are equal exactly when their residue
-    dicts are.  source is the structure the caller passed, whose ring the
-    checks of exhibit_isomorphism name.
+    square_mult, _outer, _sum) then run their one loop on plain ints, and
+    _nonzero reduces the sums mod p and drops the zeros once per output
+    vector, so two vectors are equal exactly when their residue dicts are.
+    source is the structure the caller passed, whose ring the checks of
+    exhibit_isomorphism name.
     """
     out = HopfAlgebra(s.ring, s.labels, s.mult.residues(), {}, s.comul.residues(),
                       s.counit.residues(), s.antipode.residues())
@@ -501,16 +478,11 @@ def _is_flip_asymmetric(u: dict, r: int) -> bool:
 def _sum(vecs, p: int | None = None) -> dict:
     """Sum of sparse vectors; p is the modulus of int residues."""
     out: dict = {}
-    if p is None:
-        for v in vecs:
-            for i, c in v.items():
-                _acc(out, i, c)
-        return out
     get = out.get
     for v in vecs:
         for i, c in v.items():
-            out[i] = get(i, 0) + c
-    return _reduced(out, p)
+            out[i] = c if (cur := get(i)) is None else cur + c
+    return _nonzero(out, p)
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,9 @@ class _PolyFraction:
         den = self.den
         if den is other.den and den.coeffs == (1,):
             return self._reduced(self.num + other.num, den)
+        if self.num.is_zero():
+            # A sum that cancelled and then takes a further term: no reduction.
+            return other
         return type(self)(self.num * other.den + other.num * den, den * other.den)
 
     def __sub__(self, other):

@@ -58,7 +58,7 @@ from hopfdeform.algebra import (
     tensor_apply_left,
     tensor_apply_right,
 )
-from hopfdeform.rings import Fiber, LocalRing, PrimeField
+from hopfdeform.rings import Fiber, FunctionField, LocalRing, PrimeField
 
 PRIMES = [2, 3]
 
@@ -704,6 +704,30 @@ class TestKernelsAgainstDenseReference:
         for u, v in ((s.comul.cols[1], s.comul.cols[7]),
                      (s.comul.cols[3], self.t_power_vectors(rng, s.ring, r * r, 1, 0.05)[0])):
             assert s.square_mult(u, v) == dense_square_mult(s, u, v)
+
+    def test_sums_that_cancel_and_then_continue(self):
+        # Entry 0 of each result is a*c, then -a*c (a zero sum), then b*d: the
+        # kernels keep the zero until the vector is done and must drop only
+        # what is zero at the end.
+        F = FunctionField(3)
+        a, b = F.from_int(2) / F.t(2), (F.one() + F.t()) / F.t(3)
+        c, d = F.one() / F.t(), F.t(2) / F.t(5)
+        f = LinearMap(F, 3, 2, [{0: a}, {0: -a}, {0: b, 1: b}])
+        assert f.apply({0: c, 1: c, 2: d}) == {0: b * d, 1: b * d}
+        assert f.apply({0: c, 1: c}) == {}
+        assert tensor_apply_left(f, 2, {1: c, 3: c, 5: d}) == {1: b * d, 3: b * d}
+        assert tensor_apply_left(f, 2, {1: c, 3: c}) == {}
+        assert tensor_apply_right(f, {3: c, 4: c, 5: d}) == {2: b * d, 3: b * d}
+        assert tensor_apply_right(f, {3: c, 4: c}) == {}
+
+        rng = random.Random(13)
+        u = {}
+        while len(u) < 4:
+            u = self.t_power_vectors(rng, F, 9, 1, 0.8)[0]
+        minus_u = {i: -x for i, x in u.items()}
+        assert hopf._sum([u, minus_u, u]) == u
+        assert hopf._sum([u, minus_u]) == {}
+        assert hopf._sum([minus_u, u, u, u]) == {i: x + x for i, x in u.items()}
 
     def test_operands_sparser_and_denser_than_the_index(self):
         # Each kernel loops over the operand or over the index rows, whichever

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hopfdeform import rings
 from hopfdeform.errors import (
     ContextMismatchError,
     DegreeOverflowError,
@@ -309,6 +310,29 @@ class TestFastPaths:
             assert result.is_zero()
             assert result == zero
             assert result.den == poly([1], 3)
+
+    @pytest.mark.parametrize("kind,dens", [
+        (LocalRingElement, ([1, 1], [1, 2, 1], [2, 0, 1])),
+        (RationalFunction, ([0, 1], [0, 0, 0, 2], [0, 0, 1, 1])),
+    ], ids=["local", "rational"])
+    def test_zero_plus_x_is_x_without_a_gcd(self, kind, dens, monkeypatch):
+        # A kernel sum that cancels keeps its zero until the vector is done;
+        # the next term added to it must not pay for a fraction reduction.
+        p = 3
+        a = kind(poly([2, 1, 1], p))
+        zeros = [kind(poly([], p)), a - a, a + kind(-a.num)]
+        xs = [kind(poly([1, 2], p), poly(den, p)) for den in dens]
+        want = [[type(z)(z.num * x.den + x.num * z.den, z.den * x.den) for x in xs]
+                for z in zeros]
+        assert all(x.den.degree > 0 for x in xs)
+        calls = []
+        real_gcd = rings.poly_gcd
+        monkeypatch.setattr(rings, "poly_gcd", lambda f, g: calls.append((f, g)) or real_gcd(f, g))
+        for zero, sums in zip(zeros, want):
+            for x, w in zip(xs, sums):
+                assert zero + x is x
+                assert zero + x == w
+        assert calls == []
 
     def test_unit_polynomial_is_shared(self):
         for p in (2, 3, 5, 7):
