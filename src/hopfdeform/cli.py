@@ -5,12 +5,19 @@ Output formats: pretty (default), json, csv (tables only); the default can be
 set through the HOPFDEFORM_FORMAT environment variable.  JSON output carries a
 "schema" version field and is byte-stable for identical inputs and seeds, so
 timings appear only in the pretty rendering.
+
+The command line is declared once, in MAIN_OPTIONS and COMMANDS: flag, type,
+choices, required, default, store_true and help of every option.  main reads
+argv from that table directly when argv has the plain form (main options,
+a command, its options, each an exact flag followed by its value), and only
+otherwise builds the argparse parser from the same table (build_parser), so
+that --help, abbreviated or `--flag=value` forms, negative values and every
+usage error are handled by argparse exactly as before.  A successful command
+of the plain form never imports argparse; csv is imported only to render csv.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import itertools
 import operator
@@ -18,6 +25,7 @@ import os
 import re
 import sys
 import time
+import types
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
@@ -578,69 +586,144 @@ HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command line as one table: argparse keyword arguments by flag, for the
+# main options and for each command's options, with "hidden" for an option
+# that --help leaves out.  build_parser() is a loop over it; _direct_parse
+# reads it without argparse.
+MAIN_OPTIONS = {
+    "--format": {"choices": FORMATS, "default": None,
+                 "help": "output format (csv is table-only)"},
+    "--output": {"metavar": "PATH", "default": None,
+                 "help": "write output to a file instead of stdout"},
+}
+
+COMMANDS = {
+    "verify": ("run the full verification pipeline", {
+        "--p": {"type": int, "required": True,
+                "help": "prime characteristic (2 or 3; 5 with --slow)"},
+        "--slow": {"action": "store_true", "help": "allow the p = 5 run (about 15 s)"},
+        "--mutate": {"default": None, "hidden": True},
+    }),
+    "dual": ("Cartier duals of catalog entries", {
+        "--p": {"type": int, "required": True},
+        "--name": {"required": True, "choices": ("alpha_p", "mu", "constant_cyclic")},
+        "--power": {"type": int, "default": 1,
+                    "help": "order exponent k (order p^k) where applicable"},
+        "--fiber": {"choices": ("special", "generic"), "default": "special"},
+    }),
+    "quotient": ("quotient the deformation by generator ideals", {
+        "--p": {"type": int, "required": True},
+        "--kill": {"required": True, "help": "comma-separated generators, e.g. --kill x"},
+        "--slow": {"action": "store_true"},
+    }),
+    "cohomology-table": ("classifying-stack dimension tables", {
+        "--max-n": {"type": int, "default": 6},
+        "--max-degree": {"type": int, "default": 20},
+        "--fiber": {"choices": ("generic", "special", "both"), "default": "both"},
+    }),
+    "jump": ("solve for the minimal n reaching a dimension gap", {
+        "--gap": {"type": int, "required": True, "help": "required dimension gap (>= 1)"},
+        "--degree": {"type": int, "required": True, "help": "cohomological degree (>= 1)"},
+        "--bundle-dim": {"type": int, "default": None,
+                         "help": "projective bundle dimension (default: stabilized)"},
+    }),
+    "free-locus": ("stabilizer and leading-coefficient checks", {
+        "--p": {"type": int, "required": True},
+        "--n": {"type": int, "required": True},
+        "--test-algebra": {"required": True, "help": "coefficient algebra, e.g. F2[e]/(e^2)"},
+        "--trials": {"type": int, "default": None,
+                     "help": "random trials (default: exhaustive)"},
+        "--seed": {"type": int, "default": DEFAULT_SEED},
+    }),
+}
+
+
+def build_parser():
+    """The argparse parser of the option table; main builds it only for the
+    command lines _direct_parse declines, so that argparse parses them, prints
+    --help or prints the usage error."""
+    import argparse
+
+    def add_options(parser, options):
+        for flag, spec in options.items():
+            kwargs = dict(spec)
+            if kwargs.pop("hidden", False):
+                kwargs["help"] = argparse.SUPPRESS
+            parser.add_argument(flag, **kwargs)
+
     parser = argparse.ArgumentParser(
         prog="hopfdeform",
         description="Exact verification of the rank-p^2 Hopf algebra deformation "
                     "and its dimension calculus.",
         epilog=f"Default output format comes from {FORMAT_ENV_VAR} when set. "
                f"Test algebra grammar: {_GRAMMAR_HINT}.")
-    parser.add_argument("--format", choices=FORMATS, default=None,
-                        help="output format (csv is table-only)")
-    parser.add_argument("--output", metavar="PATH", default=None,
-                        help="write output to a file instead of stdout")
+    add_options(parser, MAIN_OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify",
-                              help="run the full verification pipeline")
-    p_verify.add_argument("--p", type=int, required=True,
-                          help="prime characteristic (2 or 3; 5 with --slow)")
-    p_verify.add_argument("--slow", action="store_true",
-                          help="allow the p = 5 run (about 15 s)")
-    p_verify.add_argument("--mutate", default=None, help=argparse.SUPPRESS)
-
-    p_dual = sub.add_parser("dual", help="Cartier duals of catalog entries")
-    p_dual.add_argument("--p", type=int, required=True)
-    p_dual.add_argument("--name", required=True,
-                        choices=("alpha_p", "mu", "constant_cyclic"))
-    p_dual.add_argument("--power", type=int, default=1,
-                        help="order exponent k (order p^k) where applicable")
-    p_dual.add_argument("--fiber", choices=("special", "generic"),
-                        default="special")
-
-    p_quot = sub.add_parser("quotient",
-                            help="quotient the deformation by generator ideals")
-    p_quot.add_argument("--p", type=int, required=True)
-    p_quot.add_argument("--kill", required=True,
-                        help="comma-separated generators, e.g. --kill x")
-    p_quot.add_argument("--slow", action="store_true")
-
-    p_table = sub.add_parser("cohomology-table",
-                             help="classifying-stack dimension tables")
-    p_table.add_argument("--max-n", type=int, default=6)
-    p_table.add_argument("--max-degree", type=int, default=20)
-    p_table.add_argument("--fiber", choices=("generic", "special", "both"),
-                         default="both")
-
-    p_jump = sub.add_parser("jump",
-                            help="solve for the minimal n reaching a dimension gap")
-    p_jump.add_argument("--gap", type=int, required=True,
-                        help="required dimension gap (>= 1)")
-    p_jump.add_argument("--degree", type=int, required=True,
-                        help="cohomological degree (>= 1)")
-    p_jump.add_argument("--bundle-dim", type=int, default=None,
-                        help="projective bundle dimension (default: stabilized)")
-
-    p_free = sub.add_parser("free-locus",
-                            help="stabilizer and leading-coefficient checks")
-    p_free.add_argument("--p", type=int, required=True)
-    p_free.add_argument("--n", type=int, required=True)
-    p_free.add_argument("--test-algebra", required=True,
-                        help="coefficient algebra, e.g. F2[e]/(e^2)")
-    p_free.add_argument("--trials", type=int, default=None,
-                        help="random trials (default: exhaustive)")
-    p_free.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    for command, (summary, options) in COMMANDS.items():
+        add_options(sub.add_parser(command, help=summary), options)
     return parser
+
+
+def _read_options(argv, start, options, values) -> int:
+    """Read argv[start:] as exact flags of options into values, by dest.
+
+    A store_true flag stands alone; any other flag takes the next token as
+    its value, which must not start with '-' and must pass the flag's type
+    and choices.  Returns the index of the first token that is not a flag of
+    options, or -1 when a value is missing or bad.
+    """
+    i = start
+    while i < len(argv):
+        spec = options.get(argv[i])
+        if spec is None:
+            return i
+        dest = argv[i][2:].replace("-", "_")
+        if spec.get("action") == "store_true":
+            values[dest] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return -1
+        try:
+            value = spec.get("type", str)(argv[i + 1])
+        except ValueError:
+            return -1
+        choices = spec.get("choices")
+        if choices is not None and value not in choices:
+            return -1
+        values[dest] = value
+        i += 2
+    return i
+
+
+def _direct_parse(argv: list) -> types.SimpleNamespace | None:
+    """What build_parser().parse_args(argv) returns, read from the option
+    table without argparse, or None for any argv but the plain form.
+
+    The plain form is main options, each an exact flag with its value, then a
+    command, then that command's options the same way, with every required
+    option present; unset options take their table defaults.  A repeated
+    flag keeps its last value, as in argparse.  Everything else (help,
+    abbreviated flags, --flag=value, values starting with '-', '--', unknown
+    or misplaced flags, bad values, missing options) returns None, and
+    argparse reads it exactly as it would without this parse.
+    """
+    values = {}
+    i = _read_options(argv, 0, MAIN_OPTIONS, values)
+    if not 0 <= i < len(argv) or argv[i] not in COMMANDS:
+        return None
+    values["command"] = command = argv[i]
+    options = COMMANDS[command][1]
+    if _read_options(argv, i + 1, options, values) != len(argv):
+        return None
+    for flag, spec in itertools.chain(MAIN_OPTIONS.items(), options.items()):
+        dest = flag[2:].replace("-", "_")
+        if dest not in values:
+            if spec.get("required"):
+                return None
+            values[dest] = spec.get("default",
+                                    False if spec.get("action") == "store_true" else None)
+    return types.SimpleNamespace(**values)
 
 
 def resolve_format(args) -> str:
@@ -660,6 +743,8 @@ def render(fmt: str, payload: dict, lines: Iterable[str], csv_rows) -> str:
     if fmt == "json":
         return _json_text(payload, "\n", {}) + "\n"
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(csv_rows)
@@ -766,8 +851,10 @@ def _json_text(value, newline: str, heads: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _direct_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         fmt = resolve_format(args)
         if fmt == "csv" and args.command != "cohomology-table":

@@ -1,7 +1,9 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
+import contextlib
 import csv
 import enum
+import importlib.util
 import hashlib
 import io
 import json
@@ -525,6 +527,198 @@ class TestPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "all 9 steps passed" in proc.stdout
+
+
+# Command lines that cli._direct_parse declines, one or more per kind.  argparse
+# ends each of these with --help (exit 0) or a usage error (exit 2) ...
+ARGPARSE_EXITS = [
+    ["-h"],
+    ["--help"],
+    ["jump", "-h"],
+    ["jump", "--gap", "5", "--degree", "3", "--help"],
+    [],                                                          # no command
+    ["--format", "json"],                                        # no command
+    ["jumps", "--gap", "5", "--degree", "3"],                    # unknown command
+    ["jump", "--gap", "5"],                                      # missing option
+    ["jump", "--gap", "5", "--degree"],                          # missing value
+    ["jump", "--gap", "five", "--degree", "3"],                  # bad int
+    ["--format", "xml", "jump", "--gap", "5", "--degree", "3"],  # bad choice
+    ["dual", "--p", "2", "--name", "nu"],                        # bad choice
+    ["jump", "--gap", "5", "--degree", "3", "--seed", "1"],      # unknown option
+    ["jump", "--format", "json", "--gap", "5", "--degree", "3"],  # misplaced option
+    ["verify", "--p", "2", "--slow", "yes"],                     # value of a store_true flag
+    ["quotient", "--p", "2", "--kill", "--slow"],                # a flag for a value
+    ["jump", "--", "--gap", "5", "--degree", "3"],
+]
+
+# ... and reads each of these, the first of a pair, as it reads the second.
+ARGPARSE_FORMS = [
+    (["--form", "json", "jump", "--gap", "5", "--degree", "3"],
+     ["--format", "json", "jump", "--gap", "5", "--degree", "3"]),
+    (["--format=json", "jump", "--gap=5", "--degree", "3"],
+     ["--format", "json", "jump", "--gap", "5", "--degree", "3"]),
+    (["--format", "json", "cohomology-table", "--max-n", "2", "--max-deg", "3", "--fib", "generic"],
+     ["--format", "json", "cohomology-table", "--max-n", "2", "--max-degree", "3",
+      "--fiber", "generic"]),
+]
+
+# Values that start with '-' are left to argparse, which takes a negative
+# number as a value; the handlers then accept or refuse it.
+ARGPARSE_NEGATIVES = [
+    (["jump", "--gap", "5", "--degree", "3", "--bundle-dim", "-1"], 2),
+    (["--format", "json", "free-locus", "--p", "2", "--n", "1", "--test-algebra", "F2",
+      "--seed", "-5"], 0),
+]
+
+
+def _argparse_outcome(argv):
+    """vars() of build_parser().parse_args(argv), or its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _fuzzed_argvs(seed, count):
+    """Command lines built from the option table, then bent a few tokens at a
+    time toward the forms the direct parse leaves to argparse."""
+    rng = random.Random(seed)
+    commands = list(cli.COMMANDS)
+    flags = sorted(set(cli.MAIN_OPTIONS).union(*(opts for _, opts in cli.COMMANDS.values())))
+    samples = ["0", "1", "2", "3", "5", "7", "-1", "-3", " 4", "+2", "1_0", "x", "", "json",
+               "csv", "pretty", "xml", "alpha_p", "mu", "special", "generic", "both",
+               "F2[e]/(e^2)", "a=b", "-", "corrupt-antipode"]
+    odd = ["-h", "--help", "--", "--p=3", "--format=json", "--gap=5", "--form", "--max",
+           "--bund", "--te", "--deg", "-p", "--unknown", "--slow"]
+    pool = commands + flags + samples + odd
+
+    def value(spec):
+        if rng.random() < 0.2:
+            return rng.choice(samples)
+        if "choices" in spec:
+            return rng.choice(spec["choices"])
+        if spec.get("type") is int:
+            return str(rng.choice([0, 1, 2, 3, 5, 20, 10**6]))
+        return rng.choice(["x", "out.json", "F2[e]/(e^2)"])
+
+    def groups(options, every):
+        out = []
+        for flag, spec in options.items():
+            if spec.get("required") or every or rng.random() < 0.5:
+                out.append([flag] if spec.get("action") == "store_true" else [flag, value(spec)])
+        rng.shuffle(out)
+        return [token for group in out for token in group]
+
+    for _ in range(count):
+        command = rng.choice(commands)
+        argv = (groups(cli.MAIN_OPTIONS, False) + [command]
+                + groups(cli.COMMANDS[command][1], rng.random() < 0.2))
+        for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+            at = rng.randrange(len(argv) + 1)
+            kind = rng.randrange(4)
+            if kind == 0:
+                argv.insert(at, rng.choice(pool))
+            elif kind == 1 and at < len(argv):
+                del argv[at]
+            elif kind == 2 and at < len(argv):
+                argv[at] = rng.choice(pool)
+            else:
+                argv += argv[at:at + 2]  # a repeated flag, value or both
+        yield argv
+
+
+class TestDirectParse:
+    """main reads the plain form of a command line from the option table and
+    leaves every other form to argparse; both give the same namespace."""
+
+    def test_table_uses_only_what_the_direct_parse_reads(self):
+        known = {"type", "choices", "required", "default", "action", "help", "metavar",
+                 "hidden"}
+        for options in [cli.MAIN_OPTIONS] + [opts for _, opts in cli.COMMANDS.values()]:
+            for flag, spec in options.items():
+                assert flag.startswith("--") and set(spec) <= known, flag
+                assert spec.get("type", str) in (int, str), flag
+                assert spec.get("action", "store_true") == "store_true", flag
+        assert set(cli.COMMANDS) == set(cli.HANDLERS)
+
+    def test_agrees_with_argparse(self):
+        spec = importlib.util.spec_from_file_location(
+            "same_bytes", pathlib.Path(__file__).resolve().parent.parent / "tools" / "same_bytes.py")
+        same_bytes = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(same_bytes)
+        argvs = [list(argv) for argv in same_bytes.corpus()] + list(_fuzzed_argvs(23, 2000))
+        read = declined = 0
+        for argv in argvs:
+            direct = cli._direct_parse(argv)
+            expected = _argparse_outcome(argv)
+            if direct is not None:
+                assert vars(direct) == expected, argv
+                read += 1
+            if not isinstance(expected, dict):
+                assert direct is None, argv
+                declined += 1
+        # Both sides of the oracle are exercised, not one of them.
+        assert read > 500 and declined > 500, (read, declined)
+
+    @pytest.mark.parametrize("argv", ARGPARSE_EXITS, ids=map(" ".join, ARGPARSE_EXITS))
+    def test_help_and_usage_errors_come_from_argparse(self, capsys, argv):
+        assert cli._direct_parse(argv) is None
+        code, out, err = _argparse_outcome(argv)
+        assert code == (0 if "-h" in argv or "--help" in argv else 2)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("argv,plain", ARGPARSE_FORMS,
+                             ids=[" ".join(argv) for argv, _ in ARGPARSE_FORMS])
+    def test_forms_argparse_reads_give_the_plain_verdict(self, capsys, argv, plain):
+        assert cli._direct_parse(argv) is None
+        assert _argparse_outcome(argv) == vars(cli._direct_parse(plain))
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert main(plain) == 0
+        assert capsys.readouterr() == out
+
+    @pytest.mark.parametrize("argv,code", ARGPARSE_NEGATIVES,
+                             ids=[" ".join(argv) for argv, _ in ARGPARSE_NEGATIVES])
+    def test_negative_values_reach_the_handler(self, capsys, argv, code):
+        assert cli._direct_parse(argv) is None
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err == "error: --bundle-dim must be >= 0\n"
+        else:
+            assert json.loads(out)["seed"] == -5
+
+    def run_fresh(self, probe):
+        """The last line a fresh interpreter prints for probe, argv[1] the src dir."""
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-S", "-E", "-c",
+                               "import sys; sys.path.insert(0, sys.argv[1])\n" + probe, src],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_success_path_leaves_out_argparse_gettext_and_csv(self):
+        # -S and -E as in test_import_leaves_out_dataclasses_and_inspect.
+        probe = ("import hopfdeform.cli\n"
+                 "names = {'argparse', 'gettext', 'csv'}\n"
+                 "after_import = sorted(names & set(sys.modules))\n"
+                 "code = hopfdeform.cli.main(['--format', 'json', 'jump', '--gap', '5',"
+                 " '--degree', '3'])\n"
+                 "print(code, after_import, sorted(names & set(sys.modules)))")
+        assert self.run_fresh(probe) == "0 [] []"
+
+    def test_help_loads_argparse(self):
+        probe = ("import hopfdeform.cli\n"
+                 "try:\n"
+                 "    hopfdeform.cli.main(['--help'])\n"
+                 "except SystemExit as exc:\n"
+                 "    print(exc.code, 'argparse' in sys.modules)")
+        assert self.run_fresh(probe) == "0 True"
 
 
 class TestJsonRecords:

@@ -59,3 +59,14 @@ def test_a_one_byte_change_to_a_detail_string_is_reported(tmp_path):
     records = same_bytes.compare(before, after, commands)
     assert [r["differs"] for r in records] == [["stdout_sha256"], ["stdout_sha256"], []]
     assert [r["before"]["code"] for r in records] == [1, 1, 0]
+
+
+def test_corpus_holds_help_and_the_forms_left_to_argparse():
+    corpus = set(same_bytes.corpus())
+    import test_cli
+    from hopfdeform.cli import HANDLERS
+
+    assert {("--help",)} | {(command, "--help") for command in HANDLERS} <= corpus
+    assert {tuple(argv) for argv in test_cli.ARGPARSE_EXITS} <= corpus
+    assert {tuple(argv) for pair in test_cli.ARGPARSE_FORMS for argv in pair} <= corpus
+    assert {tuple(argv) for argv, _ in test_cli.ARGPARSE_NEGATIVES} <= corpus

@@ -12,12 +12,16 @@ when their exit codes, stdout sha256 and stderr sha256 agree.  Pretty
 before hashing, and nothing else is.
 
 The corpus is read from the checkout this script lives in, not copied:
-- PINNED_JSON and PINNED_RENDERINGS from tests/test_cli.py;
+- PINNED_JSON and PINNED_RENDERINGS from tests/test_cli.py, and the command
+  lines it leaves to argparse (ARGPARSE_EXITS, ARGPARSE_FORMS and
+  ARGPARSE_NEGATIVES: help, each kind of usage error, abbreviated and
+  `--flag=value` forms, negative values);
 - every `python -m hopfdeform.cli` command in .github/workflows/tests.yml;
 - every benchmark job of perfbench/workloads.py at seeds 1 and 2;
 and to these it adds every mutation at p = 2 and 3 (JSON and pretty), `dual`
-over every name, fiber and power at p = 2, 3 and 5, `--help`, and the
-prime refusals.  Commands repeated across sources run once.
+over every name, fiber and power at p = 2, 3 and 5, `--help` of the program
+and of each command, and the prime refusals.  Commands repeated across
+sources run once.
 
 The last line of stdout is a summary; --report writes every command's two
 records as JSON.  The exit status is 0 when every command agrees and 1
@@ -49,7 +53,10 @@ def _pinned() -> list[tuple[str, ...]]:
     import test_cli
 
     return ([("--format", "json", *argv) for argv, _, _ in test_cli.PINNED_JSON]
-            + [tuple(argv) for argv, _, _ in test_cli.PINNED_RENDERINGS])
+            + [tuple(argv) for argv, _, _ in test_cli.PINNED_RENDERINGS]
+            + [tuple(argv) for argv in test_cli.ARGPARSE_EXITS]
+            + [tuple(argv) for pair in test_cli.ARGPARSE_FORMS for argv in pair]
+            + [tuple(argv) for argv, _ in test_cli.ARGPARSE_NEGATIVES])
 
 
 def _ci_pins() -> list[tuple[str, ...]]:
@@ -65,6 +72,7 @@ def _benchmark_jobs() -> list[tuple[str, ...]]:
 
 
 def _added() -> list[tuple[str, ...]]:
+    from hopfdeform.cli import HANDLERS
     from hopfdeform.hopf import MUTATIONS
 
     out = [(*fmt, "verify", "--p", str(p), "--mutate", m)
@@ -73,6 +81,7 @@ def _added() -> list[tuple[str, ...]]:
              "--name", name)
             for p in (2, 3, 5) for fiber in ("special", "generic") for k in (1, 2)
             for name in ("alpha_p", "mu", "constant_cyclic")]
+    out += [(command, "--help") for command in HANDLERS]
     out += [("--help",), ("verify", "--p", "7"), ("verify", "--p", "5"), ("verify", "--p", "4"),
             ("dual", "--p", "7", "--name", "mu")]
     return out
