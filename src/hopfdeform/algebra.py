@@ -513,10 +513,17 @@ class LinearMap:
 
     def residues(self) -> "LinearMap":
         """This map over F_p with every entry as its int residue (modulus p)."""
+        return LinearMap.of_residues(self.ring, self.source_dim, self.target_dim,
+                                     [{i: c.residue for i, c in col.items()} for col in self.cols])
+
+    @staticmethod
+    def of_residues(ring, source_dim: int, target_dim: int, cols) -> "LinearMap":
+        """The map over ring = F_p (modulus p) whose columns are the given
+        dicts of int residues in [1, p), taken as they are."""
         out = object.__new__(LinearMap)
-        out.ring, out.source_dim, out.target_dim = self.ring, self.source_dim, self.target_dim
-        out.cols = tuple({i: c.residue for i, c in col.items()} for col in self.cols)
-        out.modulus = self.ring.p
+        out.ring, out.source_dim, out.target_dim = ring, source_dim, target_dim
+        out.cols = tuple(cols)
+        out.modulus = ring.p
         return out
 
     @staticmethod

@@ -22,6 +22,20 @@ vector, reducing the int sums mod p first on a residue structure.  The
 identity list is the same on both.  checked_structure converts a structure
 once, and a caller that checks it twice passes the result down.
 
+The deformation is graded: with deg y = 1, deg x = p + 1 and deg t = -1
+(the Rees picture of Sekiguchi, Oort and Suwa, Ann. Sci. ENS 22, 1989)
+every structure constant is c*t^k with k fixed by the degrees of the basis
+elements it joins.  grading finds such degrees from the tensors alone,
+and stops at the first constant that is not a monomial or that conflicts.
+Every identity the checkers compare is then an equality of two degree-0
+maps: at each output index both sides are (a sum of F_p constants)*t^k
+with the same k, so it holds over F_p[t]_(t) or F_p(t) exactly when it
+holds over F_p at t = 1.  A graded structure with some k != 0 is checked
+as its residue structure at t = 1 (_graded_residues), with the same
+comparisons, reports and first offenders as over its ring; a t-free one
+takes the residue path above, and one that is not homogeneous is checked
+over its ring.
+
 The central object built here is the order-p^2 deformation
 R[x,y]/(x^p, y^p - t*x) over F_p[t] localized at (t), whose special
 fiber is a product of two infinitesimal additive kernels and whose
@@ -80,15 +94,17 @@ class HopfAlgebra:
     mult: H(x)H -> H, comul: H -> H(x)H, counit: H -> R, antipode: H -> H,
     all as sparse-column linear maps; unit is the coefficient vector of 1.
     Tensor indices follow the left-most-significant convention i*rank + j.
-    A residue structure (_residues) is over F_p, holds int residues in
-    [1, p) in maps of modulus p, and has as source the structure it was
-    made from; every other structure has modulus and source None.  The
-    products vec_mult and square_mult run the same loop on both and drop
-    zeros once per result (_nonzero).
+    A residue structure (_residues, _graded_residues) is over F_p, holds
+    int residues in [1, p) in maps of modulus p, and has as source the
+    structure it was made from; every other structure has modulus and
+    source None.  A residue structure taken at t = 1 (_graded_residues)
+    also holds the grading of its source in degrees; every other structure
+    has degrees None.  The products vec_mult and square_mult run the same
+    loop on both and drop zeros once per result (_nonzero).
     """
 
     __slots__ = ("ring", "labels", "mult", "unit", "comul", "counit", "antipode", "_by_left",
-                 "source")
+                 "source", "degrees")
 
     def __init__(self, ring, labels, mult, unit, comul, counit, antipode):
         r = len(labels)
@@ -108,6 +124,7 @@ class HopfAlgebra:
         self.counit = counit
         self.antipode = antipode
         self.source = None
+        self.degrees = None
         # _by_left[i][j] is the product column of e_i*e_j, for the nonempty ones.
         self._by_left = [{} for _ in range(r)]
         for ij, col in enumerate(mult.cols):
@@ -323,7 +340,15 @@ def verify_axioms(h) -> AxiomReport:
     Each identity compares two composites of the structure maps on basis
     elements (or pairs of them).  Cocommutativity is reported but not required.
     A structure over F_p, or one whose constants all lie in F_p, is checked
-    on its int residues (_residue_form).
+    on its int residues (_residue_form).  A structure over F_p[t]_(t) or
+    F_p(t) that has a grading (grading) with some constant c*t^k, k != 0, is
+    checked on its int residues at t = 1 (_graded_residues): every composite
+    compared here is a degree-0 map, so each side of an identity has, at each
+    output index, the form (a sum of F_p constants)*t^k with the same k on
+    both sides, fixed by the degrees of the indices.  The comparison, the
+    report and the first offender are those of the ring check, with no
+    fallback.  A structure that is not homogeneous, like corrupt-antipode's,
+    is checked over its ring.
     """
     s = checked_structure(h)
     r, p = s.rank, s.modulus
@@ -363,10 +388,12 @@ def verify_axioms(h) -> AxiomReport:
 def checked_structure(h) -> HopfAlgebra:
     """The structure verify_axioms and exhibit_isomorphism check for h: its
     int residue structure when h is over F_p or every constant of h lies in
-    F_p, else as_structure(h).  A caller that checks h more than once passes
-    this in place of h, so that h is descended and converted once."""
+    F_p, its residue structure at t = 1 when h is graded with some constant
+    off degree 0 (_graded_residues), else as_structure(h).  A caller that
+    checks h more than once passes this in place of h, so that h is
+    descended and converted once."""
     s = as_structure(h)
-    return _residue_form(s) or s
+    return _residue_form(s) or _graded_residues(s) or s
 
 
 def _residue_form(s: HopfAlgebra) -> HopfAlgebra | None:
@@ -443,6 +470,187 @@ def _vec_over_prime_field(vec: dict, elements: list) -> dict | None:
         if len(num) > 1 or c.den.coeffs != (1,):
             return None
         out[i] = elements[num[0] if num else 0]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# gradings: checks at t = 1
+
+
+def grading(h) -> list[int] | None:
+    """Integer degrees d on the basis of h under which every structure
+    constant is homogeneous, read off the structure tensors alone.
+
+    Over F_p[t]_(t) or F_p(t), with deg t = -1, a nonzero constant c*t^k
+    from a source index to a target index forces k = d(target) - d(source):
+    the indices of H(x)H add (d(e_i (x) e_j) = d_i + d_j), and the unit 1
+    and the base ring's 1 (the target of the counit) sit in degree 0.  The
+    deformation has d(x^a y^b) = a*(p + 1) + b; its Cartier dual has the
+    negated degrees.  Degrees that no constant fixes are 0.  None at the
+    first constant that is not a single monomial c*t^k, or that conflicts
+    with the degrees already fixed; None when every k is 0 (a t-free
+    structure is checked over F_p as it is), and over any other ring.
+    """
+    graded = _graded(as_structure(h), build=False)
+    return None if graded is None else graded[1]
+
+
+class _Grading:
+    """Integer degrees on n unknowns, fixed constant by constant.
+
+    A constant c*t^k with source indices src and target indices tgt (tuples
+    of unknowns, repeated where a basis element occurs twice) records the
+    constraint sum d(tgt) - sum d(src) = k.  A constraint with one unknown
+    left fixes it (it conflicts if the division is not exact); one with two
+    or more waits for solve.  tilted records whether some k is nonzero.
+    """
+
+    __slots__ = ("deg", "waiting", "tilted")
+
+    def __init__(self, n: int):
+        self.deg = [None] * n
+        self.waiting = []
+        self.tilted = False
+
+    def _settle(self, terms: tuple, k: int) -> bool | None:
+        """True when terms . d = k holds or fixes its one unknown, False on a
+        conflict, None while two or more unknowns are left."""
+        deg = self.deg
+        unknown = None
+        for v, a in terms:
+            dv = deg[v]
+            if dv is not None:
+                k -= a * dv
+            elif unknown is None:
+                unknown = v, a
+            else:
+                return None
+        if unknown is None:
+            return k == 0
+        v, a = unknown
+        q, rem = divmod(k, a)
+        if rem:
+            return False
+        deg[v] = q
+        return True
+
+    def columns(self, cols, sources, targets, build: bool) -> list | None:
+        """cols at t = 1 (each constant c*t^k as the residue c; empty dicts
+        when not build), recording the constraint of each constant; None at
+        the first constant that is not a monomial or that conflicts.
+        sources[j] and targets[i] are the unknowns of column j and row i."""
+        out = []
+        waiting = self.waiting
+        for src, col in zip(sources, cols):
+            at_one = {}
+            for i, c in col.items():
+                num, den = c.num.coeffs, c.den.coeffs
+                if any(num[:-1]) or any(den[:-1]):
+                    return None
+                k = len(num) - len(den)
+                if k:
+                    self.tilted = True
+                terms = _net_terms(targets[i], src)
+                settled = self._settle(terms, k)
+                if settled is None:
+                    waiting.append((terms, k))
+                elif not settled:
+                    return None
+                if build:
+                    at_one[i] = num[-1]
+            out.append(at_one)
+        return out
+
+    def structure(self, s: HopfAlgebra, o: int, build: bool) -> list | None:
+        """[mult, unit, comul, counit, antipode] of s at t = 1, its basis
+        taken as the unknowns o, ..., o + rank - 1; None as in columns.  The
+        unit and counit come first, then the antipode, so that a stray term
+        like corrupt-antipode's is met early."""
+        r = s.rank
+        ones = [(o + i,) for i in range(r)]
+        pairs = [(o + i, o + j) for i in range(r) for j in range(r)]
+        out = []
+        for cols, sources, targets in (
+                ([s.unit], [()], ones), (s.counit.cols, ones, [()]),
+                (s.antipode.cols, ones, ones), (s.comul.cols, ones, pairs),
+                (s.mult.cols, pairs, ones)):
+            cols = self.columns(cols, sources, targets, build)
+            if cols is None:
+                return None
+            out.append(cols)
+        unit, counit, antipode, comul, mult = out
+        return [mult, unit[0], comul, counit, antipode]
+
+    def solve(self) -> list[int] | None:
+        """Degrees meeting every recorded constraint, or None on a conflict.
+        When every waiting constraint has two unknowns left, the first of
+        them is fixed at 0; unknowns no constraint reaches are 0."""
+        deg, waiting = self.deg, self.waiting
+        while waiting:
+            left = []
+            for terms, k in waiting:
+                settled = self._settle(terms, k)
+                if settled is None:
+                    left.append((terms, k))
+                elif not settled:
+                    return None
+            if len(left) == len(waiting):
+                deg[next(v for v, _ in left[0][0] if deg[v] is None)] = 0
+            waiting = left
+        return [0 if d is None else d for d in deg]
+
+
+def _net_terms(target: tuple, source: tuple) -> tuple:
+    """((unknown, coefficient), ...) of sum d(target) - sum d(source), zero
+    coefficients dropped."""
+    acc: dict = {}
+    for v in target:
+        acc[v] = acc.get(v, 0) + 1
+    for v in source:
+        acc[v] = acc.get(v, 0) - 1
+    return tuple((v, a) for v, a in acc.items() if a)
+
+
+def _graded_residues(s: HopfAlgebra) -> HopfAlgebra | None:
+    """s at t = 1 on int residues, when s is over F_p[t]_(t) or F_p(t), has
+    a grading (grading) and some constant c*t^k with k != 0; else None.
+
+    Under the grading every composite the checkers compare is a degree-0
+    map, so each entry of either side of an identity, on a basis element
+    or pair, is (a sum of F_p products)*t^k with k fixed by the degrees of
+    the indices alone: the two sides agree exactly when their values at
+    t = 1 do.  t-free structures take _residue_form instead.
+    """
+    graded = _graded(s, build=True)
+    return None if graded is None else _at_one(s, *graded)
+
+
+def _graded(s: HopfAlgebra, build: bool) -> tuple | None:
+    """(the five tensors of s at t = 1, or empty columns when not build,
+    the grading of s), or None where grading gives None."""
+    if not isinstance(s.ring, (FunctionField, LocalRing)):
+        return None
+    g = _Grading(s.rank)
+    maps = g.structure(s, 0, build)
+    if maps is None or not g.tilted:
+        return None
+    degrees = g.solve()
+    return None if degrees is None else (maps, degrees)
+
+
+def _at_one(s: HopfAlgebra, maps: list, degrees: list) -> HopfAlgebra:
+    """The residue structure over F_p with the t = 1 columns maps =
+    [mult, unit, comul, counit, antipode] of s, its source s and its
+    degrees."""
+    field = PrimeField(s.ring.p)
+    mult, unit, comul, counit, antipode = maps
+
+    def at_one(m, cols):
+        return LinearMap.of_residues(field, m.source_dim, m.target_dim, cols)
+
+    out = HopfAlgebra(field, s.labels, at_one(s.mult, mult), {}, at_one(s.comul, comul),
+                      at_one(s.counit, counit), at_one(s.antipode, antipode))
+    out.unit, out.source, out.degrees = unit, s, tuple(degrees)
     return out
 
 
@@ -797,7 +1005,15 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
     Nothing is searched for: the candidate map must be supplied, and every
     structure-compatibility identity is checked mechanically.  h1 and h2
     may be given as checked_structure gives them; the ring, rank and map
-    checks then read the structures they were made from.
+    checks then read the structures they were made from.  The
+    compatibility identities run on int residues when h1, h2 and phi are
+    all over F_p or t-free (_iso_residue_form), or, over F_p[t]_(t) or
+    F_p(t), when the three have one grading with some constant off degree
+    0 and phi is of degree 0 (_iso_graded_form): each identity then
+    compares two degree-0 maps, whose entries are (sums of F_p
+    constants)*t^k with the same k, so it holds exactly when it holds at
+    t = 1, and the report is the one of the ring check.  The invertibility
+    of phi is always decided over the caller's ring.
     """
     s1, s2 = as_structure(h1), as_structure(h2)
     # A residue structure stands for the structure it was made from.
@@ -827,7 +1043,8 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
 
     # Descend only now: the ring check and the invertibility detail above
     # name the rings the caller passed.
-    s1, s2, phi = _iso_residue_form(s1, s2, phi, o1.ring) or (o1, o2, phi)
+    s1, s2, phi = (_iso_residue_form(s1, s2, phi, o1.ring)
+                   or _iso_graded_form(s1, s2, phi, o1.ring) or (o1, o2, phi))
     record("unit preserved", phi.apply(s1.unit) == s2.unit)
     checks = (
         ("multiplication preserved", _first_pair(
@@ -849,9 +1066,11 @@ def _iso_residue_form(s1: HopfAlgebra, s2: HopfAlgebra, phi: LinearMap, ring):
     all three are over F_p or have every constant in F_p, else None.
 
     phi is tried first and s1 last: in the pipeline phi or s2 is the side
-    that involves t, and then no structure is converted in vain.
+    that involves t, and then no structure is converted in vain.  A residue
+    structure taken at t = 1 (degrees set) stands for a structure that
+    involves t, so it is left to _iso_graded_form.
     """
-    if phi.ring != ring:
+    if phi.ring != ring or s1.degrees is not None or s2.degrees is not None:
         return None
     dphi = phi if isinstance(ring, PrimeField) else _map_over_prime_field(phi, PrimeField(ring.p))
     if dphi is None:
@@ -863,6 +1082,38 @@ def _iso_residue_form(s1: HopfAlgebra, s2: HopfAlgebra, phi: LinearMap, ring):
     if d1 is None:
         return None
     return d1, d2, dphi.residues() if d1.modulus else dphi
+
+
+def _iso_graded_form(s1: HopfAlgebra, s2: HopfAlgebra, phi: LinearMap, ring):
+    """(s1, s2, phi) at t = 1 on int residues when phi is over the caller's
+    ring, F_p[t]_(t) or F_p(t), and s1, s2 and phi have one grading with
+    some constant off degree 0, else None.
+
+    The degrees come from one solve over the constraints of all three, the
+    basis of s1 as the unknowns 0..r-1 and that of s2 as r..2r-1; phi is
+    homogeneous when each constant c*t^k of phi(e_i) at e'_j has
+    k = d(e'_j) - d(e_i).  A side given as a residue structure is used as it
+    is, and its constraints are read from the structure it was made from.
+    """
+    if phi.ring != ring or not isinstance(ring, (FunctionField, LocalRing)):
+        return None
+    r = phi.source_dim
+    g = _Grading(2 * r)
+    maps = []
+    for s, o in ((s1, 0), (s2, r)):
+        m = g.structure(s.source or s, o, build=s.modulus is None)
+        if m is None:
+            return None
+        maps.append(m)
+    cols = g.columns(phi.cols, [(i,) for i in range(r)], [(r + j,) for j in range(r)], True)
+    if cols is None or not g.tilted:
+        return None
+    degrees = g.solve()
+    if degrees is None:
+        return None
+    d1 = s1 if s1.modulus else _at_one(s1, maps[0], degrees[:r])
+    d2 = s2 if s2.modulus else _at_one(s2, maps[1], degrees[r:])
+    return d1, d2, LinearMap.of_residues(PrimeField(ring.p), r, r, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,11 +1284,14 @@ def generic_grouplike(h_generic: HopfPresentation) -> AlgebraElement:
 
 
 def iso_mu_to_generic(h_generic: HopfPresentation):
-    """Map exhibiting the generic fiber as multiplicative of order p^2."""
+    """Map exhibiting the generic fiber as multiplicative of order p^2.
+
+    mu is returned as the checkers take it (CatalogEntry.checked).
+    """
     p = h_generic.algebra.ring.p
-    mu = catalog_build("mu", p, 2, Fiber.GENERIC).hopf
-    phi = algebra_hom(mu.algebra, h_generic.algebra, [generic_grouplike(h_generic)])
-    return mu, phi
+    mu = catalog_build("mu", p, 2, Fiber.GENERIC)
+    phi = algebra_hom(mu.hopf.algebra, h_generic.algebra, [generic_grouplike(h_generic)])
+    return mu.checked, phi
 
 
 def grouplike_power_matrix(h_generic: HopfPresentation) -> LinearMap:
@@ -1057,10 +1311,12 @@ def iso_constant_to_dual_generic(h_generic: HopfPresentation):
 
     The point idempotent d_j goes to the functional dual to (1 + t*y)^j;
     the power family is certified to be a basis by inverting its matrix.
+    The constant scheme is returned as the checkers take it
+    (CatalogEntry.checked).
     """
     p = h_generic.algebra.ring.p
     dual = cartier_dual(h_generic)
-    const = catalog_build("constant_cyclic", p, 2, Fiber.GENERIC).hopf
+    const = catalog_build("constant_cyclic", p, 2, Fiber.GENERIC).checked
     b = grouplike_power_matrix(h_generic)
     phi = b.inverse().transpose()
     return const, dual, phi

@@ -712,6 +712,19 @@ class TestDirectParse:
                  "print(code, after_import, sorted(names & set(sys.modules)))")
         assert self.run_fresh(probe) == "0 [] []"
 
+    def test_import_and_a_json_verdict_leave_out_json(self):
+        # The JSON writer needs only the C string encoder, not the json package.
+        probe = ("import hopfdeform.cli\n"
+                 "after_import = 'json' in sys.modules\n"
+                 "code = hopfdeform.cli.main(['--format', 'json', 'jump', '--gap', '5',"
+                 " '--degree', '3'])\n"
+                 "print(code, after_import, 'json' in sys.modules)")
+        assert self.run_fresh(probe) == "0 False False"
+
+    def test_string_encoder_is_the_json_packages(self):
+        from json.encoder import encode_basestring_ascii
+        assert cli.encode_basestring_ascii is encode_basestring_ascii
+
     def test_help_loads_argparse(self):
         probe = ("import hopfdeform.cli\n"
                  "try:\n"
@@ -904,6 +917,41 @@ class TestPinnedOutput:
         assert main(["--format", "json"] + argv) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_verify_p5_slow_digest_and_its_large_steps_on_residues(self, capsys, monkeypatch):
+        # The digest CI pins.  The base-ring axioms, the generic-fiber axioms
+        # and the generic dual (once 8-12 s between them) run no kernel on
+        # ring elements: their structures are checked at t = 1.
+        calls = {"verify_axioms": [], "exhibit_isomorphism": []}
+        ring_kernels = []
+        for owner, kernel in ((hopf.HopfAlgebra, "square_mult"), (hopf.HopfAlgebra, "vec_mult"),
+                              (LinearMap, "apply")):
+            real = getattr(owner, kernel)
+
+            def counting(obj, *args, real=real, kernel=kernel):
+                if obj.modulus is None:
+                    ring_kernels.append(kernel)
+                return real(obj, *args)
+            monkeypatch.setattr(owner, kernel, counting)
+        for name in calls:
+            real = getattr(cli, name)
+
+            def wrapper(*args, real=real, name=name):
+                before = len(ring_kernels)
+                try:
+                    return real(*args)
+                finally:
+                    calls[name].append(len(ring_kernels) - before)
+            monkeypatch.setattr(cli, name, wrapper)
+        assert main(["--format", "json", "verify", "--p", "5", "--slow"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "400a3745afcbea15b9669aff2066d5af5609893a19a16cb7a9a5888c047d0a66")
+        # verify_axioms: base ring, special fiber, generic fiber, quotient;
+        # exhibit_isomorphism: special split, generic multiplicative, generic dual.
+        assert len(calls["verify_axioms"]) == 4 and len(calls["exhibit_isomorphism"]) == 3
+        assert calls["verify_axioms"][0] == calls["verify_axioms"][2] == 0
+        assert calls["exhibit_isomorphism"][2] == 0
 
     @pytest.mark.parametrize("argv,code,digest", PINNED_RENDERINGS,
                              ids=[" ".join(argv) for argv, _, _ in PINNED_RENDERINGS])

@@ -1323,3 +1323,336 @@ class TestResidueCopiesDoNotOutliveTheCheck:
         # The walk reaches the fields of the structure itself.
         ids = {id(obj) for obj in after}
         assert {id(s), id(s.mult), id(s.unit), id(s.comul), id(s.antipode)} <= ids
+
+
+def exponent_degrees(h):
+    """d(x^a y^b) = a*(p + 1) + b on the monomial basis of a presentation,
+    read from its exponents (x killed: d(y^b) = b)."""
+    A = h.algebra
+    weights = {"x": A.ring.p + 1, "y": 1}
+    return [sum(weights[g] * e for g, e in zip(A.gens, exps)) for exps in A.iter_basis()]
+
+
+class TestGrading:
+    """grading reads the degrees off the structure tensors; the checks at
+    t = 1 take exactly the structures it grades with some constant off
+    degree 0."""
+
+    @pytest.mark.parametrize("p", PRIMES + [5])
+    def test_degrees_of_the_deformation_its_generic_fiber_dual_and_quotient(self, p):
+        h = deformation_hopf(p)
+        d = exponent_degrees(h)
+        assert d[:2] == [0, 1] and d[p] == p + 1
+        ge = specialize_hopf(h, Fiber.GENERIC)
+        assert hopf.grading(h) == d and hopf.grading(ge) == d
+        assert hopf.grading(cartier_dual(ge)) == [-k for k in d]
+        q = hopf_quotient(h, [h.algebra.gen(0)])
+        assert hopf.grading(q) == exponent_degrees(q) == list(range(p))
+
+    def test_degrees_do_not_come_from_the_labels(self):
+        s = as_structure(deformation_hopf(3))
+        renamed = HopfAlgebra(s.ring, tuple(f"b{i}" for i in range(s.rank)), s.mult, s.unit,
+                              s.comul, s.counit, s.antipode)
+        assert hopf.grading(renamed) == hopf.grading(s)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_none_where_no_grading_certifies_a_check_at_t_equal_1(self, p):
+        assert hopf.grading(deformation_hopf(p, "corrupt-antipode")) is None
+        # t-free structures, over every ring, and the special fiber.
+        for fiber in Fiber:
+            for name, k in (("alpha_p", 1), ("mu", 2), ("constant_cyclic", 2)):
+                s = as_structure(catalog_build(name, p, k, fiber).hopf)
+                assert hopf.grading(s) is None
+                if fiber is Fiber.GENERIC:
+                    assert hopf.grading(constant_lift(s)) is None
+        assert hopf.grading(specialize_hopf(deformation_hopf(p), Fiber.SPECIAL)) is None
+        # One constant c + c'*t, and one monomial off its degree.
+        s = as_structure(deformation_hopf(p))
+        one, t = s.ring.one(), s.ring.t()
+        for scalar in (one + t, t * t):
+            cols = [dict(col) for col in s.antipode.cols]
+            cols[1][1] = cols[1][1] + scalar
+            antipode = LinearMap(s.ring, s.rank, s.rank, cols)
+            bumped = HopfAlgebra(s.ring, s.labels, s.mult, s.unit, s.comul, s.counit, antipode)
+            assert hopf.grading(bumped) is None
+            assert hopf.checked_structure(bumped).modulus is None
+
+    def test_the_attempt_stops_at_the_first_conflicting_constant(self):
+        class Untouchable:
+            """A nonzero entry that fails if the scan reads it."""
+
+            def is_zero(self):
+                return False
+
+            def __getattr__(self, name):
+                raise AssertionError(f"scan read .{name} past the first conflict")
+
+        s = as_structure(deformation_hopf(2))
+        t = s.ring.t()
+        stray = [{0: Untouchable()} for _ in range(s.rank * s.rank)]
+        mult = LinearMap(s.ring, s.rank * s.rank, s.rank, stray)
+        comul = LinearMap(s.ring, s.rank, s.rank * s.rank, stray[:s.rank])
+        for first in (s.ring.one() + t, t):
+            antipode = LinearMap(s.ring, s.rank, s.rank,
+                                 [{0: first}] + [{0: Untouchable()}] * (s.rank - 1))
+            h = HopfAlgebra(s.ring, s.labels, mult, s.unit, comul, s.counit, antipode)
+            assert hopf.grading(h) is None
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_the_residue_structure_at_t_equal_1(self, p):
+        h = deformation_hopf(p)
+        s = as_structure(h)
+        d = hopf.checked_structure(h)
+        assert (d.modulus, d.ring, d.source, d.labels) == (p, PrimeField(p), s, s.labels)
+        assert d.degrees == tuple(hopf.grading(s))
+        # Each constant c*t^k becomes c.
+        for m, dm in ((s.mult, d.mult), (s.comul, d.comul), (s.counit, d.counit),
+                      (s.antipode, d.antipode)):
+            assert dm.modulus == p
+            assert dm.cols == tuple({i: c.num.coeffs[-1] for i, c in col.items()}
+                                    for col in m.cols)
+        assert d.unit == {0: 1}
+        assert hopf.checked_structure(d) is d
+        # t-free residue structures carry no degrees.
+        assert hopf.checked_structure(catalog_build("mu", p, 2, Fiber.GENERIC).hopf).degrees is None
+
+
+def graded_path_off(monkeypatch):
+    monkeypatch.setattr(hopf, "_graded_residues", lambda s: None)
+    monkeypatch.setattr(hopf, "_iso_graded_form", lambda s1, s2, phi, ring: None)
+
+
+def counting_formed(monkeypatch):
+    """The sources of every residue structure formed at t = 1, in order."""
+    real = hopf._at_one
+    formed = []
+    monkeypatch.setattr(hopf, "_at_one",
+                        lambda s, maps, degrees: formed.append(s) or real(s, maps, degrees))
+    return formed
+
+
+class TestGradedOracle:
+    """Reports with the checks at t = 1 equal the reports of the ring
+    checks: on the pipeline's structures, isomorphisms and commands at p = 2
+    and 3, and on seeded broken samples of the deformation whose bumps keep
+    or break homogeneity."""
+
+    @staticmethod
+    def pipeline_reports(p):
+        h = deformation_hopf(p)
+        ge = specialize_hopf(h, Fiber.GENERIC)
+        mu, phi = iso_mu_to_generic(ge)
+        const, dual, psi = iso_constant_to_dual_generic(ge)
+        q = hopf_quotient(h, [h.algebra.gen(0)])
+        reports = [verify_axioms(x) for x in (h, ge, dual, q)]
+        reports += [exhibit_isomorphism(mu, ge, phi), exhibit_isomorphism(const, dual, psi),
+                    exhibit_isomorphism(h, h, LinearMap.identity(h.ring, h.rank)),
+                    double_dual_report(hopf.checked_structure(ge))]
+        return [r.to_dict() for r in reports]
+
+    @staticmethod
+    def commands(capsys, p):
+        out = []
+        for argv in (["verify", "--p", str(p)], ["quotient", "--p", str(p), "--kill", "x"],
+                     *(["verify", "--p", str(p), "--mutate", m] for m in sorted(MUTATIONS))):
+            code = cli.main(["--format", "json"] + argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_pipeline_reports_and_commands_are_unchanged(self, capsys, monkeypatch, p):
+        formed = counting_formed(monkeypatch)
+        on = self.pipeline_reports(p), self.commands(capsys, p)
+        assert len(formed) >= 10
+        assert all(rep["passed"] for rep in on[0])
+        assert [code for code, _ in on[1]] == [0, 0, 1, 1, 1]
+        graded_path_off(monkeypatch)
+        formed.clear()
+        off = self.pipeline_reports(p), self.commands(capsys, p)
+        assert formed == []
+        assert on == off
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_a_map_or_side_off_the_grading_takes_the_ring_check(self, monkeypatch, p):
+        # phi scales y by t: invertible over F_p(t) and the identity at t = 1,
+        # but not of degree 0.  lift is the generic fiber at t = 1 as a t-free
+        # structure over F_p(t): the identity from it agrees at t = 1 only.
+        ge = specialize_hopf(deformation_hopf(p), Fiber.GENERIC)
+        checked = hopf.checked_structure(ge)
+        F = ge.ring
+        cols = [{i: F.one()} for i in range(ge.rank)]
+        cols[1] = {1: F.t()}
+        scaled = LinearMap(F, ge.rank, ge.rank, cols)
+
+        def lifted(m):
+            return LinearMap(F, m.source_dim, m.target_dim,
+                             [{i: F.from_int(c) for i, c in col.items()} for col in m.cols])
+
+        lift = HopfAlgebra(F, checked.labels, lifted(checked.mult), {0: F.one()},
+                           lifted(checked.comul), lifted(checked.counit),
+                           lifted(checked.antipode))
+        ident = LinearMap.identity(F, ge.rank)
+
+        def reports():
+            return [exhibit_isomorphism(a, b, phi).to_dict()
+                    for a, b, phi in ((ge, ge, scaled), (checked, checked, scaled),
+                                      (lift, ge, ident), (lift, checked, ident),
+                                      (checked, lift, ident))]
+
+        formed = counting_formed(monkeypatch)
+        on = reports()
+        assert formed == []
+        graded_path_off(monkeypatch)
+        assert reports() == on
+        assert [rep["passed"] for rep in on] == [False] * 5
+        assert verify_axioms(lift).ok
+
+    @staticmethod
+    def index_degrees(d, r):
+        """(column degrees, row degrees) of each tensor under the grading d."""
+        pairs = [d[i] + d[j] for i in range(r) for j in range(r)]
+        return {"mult": (pairs, d), "comul": (d, pairs), "counit": (d, [0]),
+                "antipode": (d, d), "unit": ([0], d)}
+
+    @staticmethod
+    def bump(rng, cols, col_deg, row_deg, ring, homogeneous):
+        """cols with one entry changed.  Homogeneous bumps scale an existing
+        constant by a in F_p, a != 1 (a = 0 drops it), or fill an empty
+        place with c*t^k at its own degree; the others add c*t^k off the
+        degree of an empty place, or add c*t^(k+1) to an existing c*t^k."""
+        p, t = ring.p, ring.t()
+        places = [(j, i) for j, col in enumerate(cols) for i in col]
+        if homogeneous:
+            empty = [(j, i) for j in range(len(cols)) for i in range(len(row_deg))
+                     if i not in cols[j] and row_deg[i] >= col_deg[j]]
+            if places and (not empty or rng.randrange(2)):
+                j, i = rng.choice(places)
+                a = rng.choice([0] + list(range(2, p)))
+                cols[j][i] = cols[j][i] * ring.from_int(a)
+            else:
+                j, i = rng.choice(empty)
+                cols[j][i] = ring.from_int(rng.randrange(1, p)) * ring.t(row_deg[i] - col_deg[j])
+        elif places and rng.randrange(2):
+            j, i = rng.choice(places)
+            cols[j][i] = cols[j][i] + cols[j][i] * t
+        else:
+            j = rng.randrange(len(cols))
+            i = rng.randrange(len(row_deg))
+            k = max(row_deg[i] - col_deg[j], 0) + rng.randrange(1, 3)
+            cols[j][i] = cols[j].get(i, ring.zero()) + ring.from_int(rng.randrange(1, p)) * ring.t(k)
+        return [{i: c for i, c in col.items() if not c.is_zero()} for col in cols]
+
+    def broken(self, rng, s, d, homogeneous):
+        degrees = self.index_degrees(d, s.rank)
+        maps = {"mult": s.mult, "comul": s.comul, "counit": s.counit, "antipode": s.antipode}
+        which = rng.choice(sorted(degrees))
+        if which == "unit":
+            unit = self.bump(rng, [dict(s.unit)], *degrees["unit"], s.ring, homogeneous)[0]
+        else:
+            unit = s.unit
+            m = maps[which]
+            cols = self.bump(rng, [dict(col) for col in m.cols], *degrees[which], s.ring,
+                             homogeneous)
+            maps[which] = LinearMap(s.ring, m.source_dim, m.target_dim, cols)
+        return HopfAlgebra(s.ring, s.labels, maps["mult"], unit, maps["comul"],
+                           maps["counit"], maps["antipode"])
+
+    SAMPLES = {2: 32, 3: 16}
+
+    def reports(self, p):
+        rng = random.Random(20261024 + p)
+        s = as_structure(deformation_hopf(p))
+        d = exponent_degrees(deformation_hopf(p))
+        ident = LinearMap.identity(s.ring, s.rank)
+        out = []
+        for n in range(self.SAMPLES[p]):
+            b = self.broken(rng, s, d, homogeneous=n % 2 == 0)
+            phi = ident
+            if rng.randrange(3):
+                phi = LinearMap(s.ring, s.rank, s.rank,
+                                self.bump(rng, [dict(col) for col in ident.cols], d, d, s.ring,
+                                          homogeneous=rng.randrange(3) > 0))
+            out.append(verify_axioms(b).to_dict())
+            out.append(exhibit_isomorphism(s, b, phi).to_dict())
+        return out
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_broken_samples_give_the_ring_reports(self, monkeypatch, p):
+        formed = counting_formed(monkeypatch)
+        on = self.reports(p)
+        # Most homogeneous samples take the t = 1 checks.
+        assert len(formed) >= self.SAMPLES[p] // 2
+        graded_path_off(monkeypatch)
+        formed.clear()
+        off = self.reports(p)
+        assert formed == []
+        assert on == off
+        failed = {c["name"] for rep in on for c in rep["checks"] if not c["passed"]}
+        assert failed >= set(REQUIRED_CHECKS) | {"map is invertible", "unit preserved",
+                                                 "multiplication preserved"}
+        offenders = {c["detail"] for rep in on for c in rep["checks"] if not c["passed"]}
+        assert len(offenders) > 10
+
+
+class TestGradedPerCommand:
+    def test_verify_forms_each_graded_structure_once(self, capsys, monkeypatch):
+        # The deformation, its generic fiber (checked twice: its axioms and
+        # the multiplicative identification), the generic fiber's dual and
+        # the quotient: four structures, each formed at t = 1 once.
+        formed = counting_formed(monkeypatch)
+        assert cli.main(["--format", "json", "verify", "--p", "3"]) == 0
+        capsys.readouterr()
+        assert len(formed) == len({id(s) for s in formed}) == 4
+        assert [(s.ring.tag, s.labels[1]) for s in formed] == [
+            ("F3[t]_(t)", "y"), ("F3(t)", "y"), ("F3(t)", "y*"), ("F3[t]_(t)", "y")]
+
+    def test_axiom_checks_make_no_fraction_multiplication(self, capsys, monkeypatch):
+        # Fraction multiplications inside each verify_axioms and
+        # checked_structure call of the verify command, leaving out the
+        # build of a presentation's tensors (HopfPresentation.structure).
+        from hopfdeform import rings
+        state = {"on": 0, "paused": 0}
+        counts = {"verify_axioms": [], "checked_structure": []}
+        real_mul = rings._PolyFraction.__mul__
+        real_structure = HopfPresentation.structure
+
+        def mul(a, b):
+            if state["on"] and not state["paused"]:
+                state["count"] += 1
+            return real_mul(a, b)
+
+        def structure(h):
+            state["paused"] += 1
+            try:
+                return real_structure(h)
+            finally:
+                state["paused"] -= 1
+
+        def counted(name, real):
+            def wrapper(h):
+                state["on"], state["count"] = 1, 0
+                try:
+                    return real(h)
+                finally:
+                    state["on"] = 0
+                    counts[name].append(state["count"])
+            return wrapper
+
+        monkeypatch.setattr(rings._PolyFraction, "__mul__", mul)
+        monkeypatch.setattr(HopfPresentation, "structure", structure)
+        for name in counts:
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        argv = ["--format", "json", "verify", "--p", "3"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        # verify_axioms: base ring, special fiber, generic fiber, quotient;
+        # checked_structure: special fiber, generic fiber.
+        assert counts == {"verify_axioms": [0, 0, 0, 0], "checked_structure": [0, 0]}
+        # Negative control: over the rings the same checks multiply fractions.
+        graded_path_off(monkeypatch)
+        for name in counts:
+            counts[name].clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
+        base, _, generic, quotient = counts["verify_axioms"]
+        assert min(base, generic, quotient) > 100
