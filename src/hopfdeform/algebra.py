@@ -575,10 +575,13 @@ class LinearMap:
             raise DimensionMismatchError("linear maps have different shapes")
 
     def transpose(self) -> "LinearMap":
+        """The transpose, on int residues (modulus p) when this map holds them."""
         cols: list[dict] = [{} for _ in range(self.target_dim)]
         for j, col in enumerate(self.cols):
             for i, c in col.items():
                 cols[i][j] = c
+        if self.modulus is not None:
+            return LinearMap.of_residues(self.ring, self.target_dim, self.source_dim, cols)
         return LinearMap(self.ring, self.target_dim, self.source_dim, cols)
 
     def kron(self, other: "LinearMap") -> "LinearMap":

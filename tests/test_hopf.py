@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import random
 
@@ -1656,3 +1657,268 @@ class TestGradedPerCommand:
         assert capsys.readouterr().out == out
         base, _, generic, quotient = counts["verify_axioms"]
         assert min(base, generic, quotient) > 100
+
+
+def functions_on_s3(antipode_shift=0):
+    """Functions on the symmetric group S_3 over F_3, on the point-idempotent
+    basis: commutative and not cocommutative.  antipode_shift moves the
+    antipode image of the last point to another point (0 keeps it)."""
+    F = PrimeField(3)
+    one = F.one()
+    group = sorted(itertools.permutations(range(3)))
+    index = {g: n for n, g in enumerate(group)}
+    r = len(group)
+
+    def compose(a, b):
+        return tuple(a[b[i]] for i in range(3))
+
+    def inverse(g):
+        return tuple(sorted(range(3), key=lambda i: g[i]))
+
+    mult = LinearMap(F, r * r, r, [{a: one} if a == b else {} for a in range(r) for b in range(r)])
+    comul = LinearMap(F, r, r * r, [
+        {index[a] * r + index[b]: one for a in group for b in group if compose(a, b) == g}
+        for g in group])
+    counit = LinearMap(F, r, 1, [{0: one} if g == group[0] else {} for g in group])
+    images = [index[inverse(g)] for g in group]
+    images[-1] = (images[-1] + antipode_shift) % r
+    antipode = LinearMap(F, r, r, [{i: one} for i in images])
+    labels = tuple("g" + "".join(map(str, g)) for g in group)
+    return HopfAlgebra(F, labels, mult, {n: one for n in range(r)}, comul, counit, antipode)
+
+
+def nonzeros(m):
+    return sum(len(col) for col in m.cols)
+
+
+def is_cocommutative(s):
+    return not any(hopf._is_flip_asymmetric(col, s.rank) for col in s.comul.cols)
+
+
+def side_choice_off(monkeypatch):
+    monkeypatch.setattr(hopf, "_sparser_transpose", lambda s: None)
+
+
+def counting_transposed(monkeypatch):
+    """The transposes verify_axioms takes its self-transposed checks to, in
+    order; the list keeps them alive, so their ids stay theirs."""
+    real = hopf._sparser_transpose
+    taken = []
+
+    def counting(s):
+        t = real(s)
+        if t is not None:
+            taken.append(t)
+        return t
+
+    monkeypatch.setattr(hopf, "_sparser_transpose", counting)
+    return taken
+
+
+class TestSparserSideOracle:
+    """Reports with the bialgebra and antipode laws decided on the sparser
+    side equal the reports of the scans on the checked structure itself,
+    offenders included: on the pipeline's structures, the catalog, the
+    mutations, seeded broken samples, and functions on S_3, which is not
+    cocommutative and so stays on its own side."""
+
+    @staticmethod
+    def pipeline_reports(p):
+        h = deformation_hopf(p)
+        ge = specialize_hopf(h, Fiber.GENERIC)
+        structures = [h, specialize_hopf(h, Fiber.SPECIAL), ge, cartier_dual(ge),
+                      hopf_quotient(h, [h.algebra.gen(0)])]
+        structures += [catalog_build(name, p, k, fiber).hopf
+                       for name, k in [("alpha_p", 1), ("mu", 1), ("mu", 2),
+                                       ("constant_cyclic", 1), ("constant_cyclic", 2)]
+                       for fiber in Fiber]
+        return [verify_axioms(x).to_dict() for x in structures]
+
+    @staticmethod
+    def commands(capsys, p):
+        out = []
+        for argv in (["verify", "--p", str(p)],
+                     *(["verify", "--p", str(p), "--mutate", m] for m in sorted(MUTATIONS))):
+            code = cli.main(["--format", "json"] + argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_pipeline_catalog_and_mutations_are_unchanged(self, capsys, monkeypatch, p):
+        taken = counting_transposed(monkeypatch)
+        on = self.pipeline_reports(p), self.commands(capsys, p)
+        # The deformation, its generic fiber, the quotient and the constant
+        # schemes, here and in the commands.
+        assert len(taken) >= 10
+        assert all(rep["passed"] for rep in on[0])
+        assert [code for code, _ in on[1]] == [0, 1, 1, 1]
+        side_choice_off(monkeypatch)
+        taken.clear()
+        off = self.pipeline_reports(p), self.commands(capsys, p)
+        assert taken == []
+        assert on == off
+
+    @staticmethod
+    def bump(rng, s, which):
+        """s with one entry of the comultiplication, multiplication or
+        antipode changed by a nonzero constant (times t^0, t or t^2 over a
+        ring with t).  Half of the comultiplication bumps sit on a diagonal
+        place e_i (x) e_i, which keeps a cocommutative structure so."""
+        ring, r = s.ring, s.rank
+        c = ring.from_int(rng.randrange(1, ring.p))
+        if not isinstance(ring, PrimeField):
+            c = c * ring.t(rng.randrange(3))
+        maps = {"comul": s.comul, "mult": s.mult, "antipode": s.antipode}
+        m = maps[which]
+        cols = [dict(col) for col in m.cols]
+        j = rng.randrange(m.source_dim)
+        if which == "comul" and rng.randrange(2):
+            i = rng.randrange(r) * (r + 1)
+        elif cols[j] and rng.randrange(2):
+            i = rng.choice(sorted(cols[j]))
+        else:
+            i = rng.randrange(m.target_dim)
+        cols[j][i] = cols[j].get(i, ring.zero()) + c
+        maps[which] = LinearMap(ring, m.source_dim, m.target_dim, cols)
+        return HopfAlgebra(ring, s.labels, maps["mult"], s.unit, maps["comul"], s.counit,
+                           maps["antipode"])
+
+    @staticmethod
+    def bases():
+        return [as_structure(deformation_hopf(2)), as_structure(deformation_hopf(3)),
+                as_structure(catalog_build("constant_cyclic", 3, 2, Fiber.SPECIAL).hopf),
+                as_structure(catalog_build("constant_cyclic", 2, 2, Fiber.GENERIC).hopf),
+                functions_on_s3()]
+
+    SAMPLES_PER_BASE = 30
+
+    def reports(self):
+        rng = random.Random(20261025)
+        out = []
+        for s in self.bases():
+            out.append(verify_axioms(s).to_dict())
+            for n in range(self.SAMPLES_PER_BASE):
+                out.append(verify_axioms(self.bump(rng, s, ("comul", "mult", "antipode")[n % 3]))
+                           .to_dict())
+        return out
+
+    def test_broken_samples_give_the_same_reports(self, monkeypatch):
+        taken = counting_transposed(monkeypatch)
+        on = self.reports()
+        assert len(taken) > self.SAMPLES_PER_BASE
+        side_choice_off(monkeypatch)
+        off = self.reports()
+        assert on == off
+        # The two self-transposed laws and the cocommutativity the side
+        # choice reads each fail on some sample, with many offenders.
+        failed = {c["name"] for rep in on for c in rep["checks"] if not c["passed"]}
+        assert failed >= {"comultiplication is an algebra map", "antipode identities hold",
+                          "comultiplication is cocommutative"}
+        offenders = {c["detail"] for rep in on for c in rep["checks"]
+                     if not c["passed"] and c["name"] in ("comultiplication is an algebra map",
+                                                          "antipode identities hold")}
+        assert len(offenders) > 10
+
+    def test_functions_on_s3_stay_on_their_own_side(self, monkeypatch):
+        # Commutative and not cocommutative: the transpose (the group
+        # algebra) is not commutative, so its pair scan would not be
+        # complete.  Its comultiplication is the denser tensor all the same.
+        receivers = []
+        real = HopfAlgebra.square_mult
+        monkeypatch.setattr(HopfAlgebra, "square_mult",
+                            lambda s, u, v: receivers.append(s) or real(s, u, v))
+        for shift in (0, 1):
+            s = hopf.checked_structure(functions_on_s3(shift))
+            assert nonzeros(s.comul) > nonzeros(s.mult) and not is_cocommutative(s)
+            receivers.clear()
+            report = verify_axioms(s)
+            assert receivers and all(x is s for x in receivers)
+            assert report.ok == (shift == 0)
+            assert [(c.name, c.detail) for c in report.failures()] == (
+                [("antipode identities hold", "g012")] if shift else []) + [
+                ("comultiplication is cocommutative", "g021")]
+
+    def test_a_structure_that_is_not_cocommutative_is_not_transposed(self):
+        # Over F_3, b^2 = b and Delta(b) = 1(x)1 + 2*1(x)b + b(x)1 + b(x)b:
+        # commutative, not cocommutative, and not a bialgebra at (b, b).  Its
+        # transpose is not commutative, and the pair scan i <= j on the
+        # transpose misses the failure, though that side is the sparser one.
+        F = PrimeField(3)
+        one, two = F.one(), F.from_int(2)
+        s = HopfAlgebra(F, ("1", "b"), LinearMap(F, 4, 2, [{0: one}, {1: one}, {1: one}, {1: one}]),
+                        {0: one}, LinearMap(F, 2, 4, [{0: one}, {0: one, 1: two, 2: one, 3: one}]),
+                        LinearMap(F, 2, 1, [{0: one}, {}]), LinearMap.identity(F, 2))
+        checks = {c.name: c for c in verify_axioms(s).checks}
+        assert checks["multiplication is commutative"].passed
+        assert checks["comultiplication is cocommutative"].detail == "b"
+        assert checks["comultiplication is an algebra map"].detail == "b, b"
+        checked = hopf.checked_structure(s)
+        t = hopf._sparser_transpose(checked)
+        assert t is not None and hopf._comul_multiplicative_at(t) is None
+        assert hopf._comul_multiplicative_at(checked) == "b, b"
+
+
+class TestSparserSideWork:
+    """The self-transposed scans multiply on the sparser side, and the
+    transpose they run on does not outlive verify_axioms."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--p", "5", "--slow"],
+        ["dual", "--p", "5", "--fiber", "generic", "--power", "2", "--name", "constant_cyclic"],
+    ])
+    def test_no_product_on_the_denser_side(self, capsys, monkeypatch, argv):
+        calls = {}
+        receivers = {}
+        real = HopfAlgebra.square_mult
+
+        def counting(s, u, v):
+            calls[id(s)] = calls.get(id(s), 0) + 1
+            receivers[id(s)] = s
+            return real(s, u, v)
+
+        monkeypatch.setattr(HopfAlgebra, "square_mult", counting)
+        assert cli.main(["--format", "json"] + argv) == 0
+        capsys.readouterr()
+        assert sum(calls.values()) > 0
+        denser = {k: (s.labels[1], calls[k]) for k, s in receivers.items()
+                  if is_cocommutative(s) and nonzeros(s.comul) > nonzeros(s.mult)}
+        assert denser == {}
+
+    def test_transpose_keeps_int_residues(self):
+        # Over F_3 the transpose of the residue structure holds the residues
+        # of the transpose over F_3.
+        s = as_structure(catalog_build("constant_cyclic", 3, 2, Fiber.SPECIAL).hopf)
+        checked = hopf.checked_structure(s)
+        t, over_f3 = hopf._transpose(checked), hopf._transpose(s)
+        assert (t.modulus, t.source, t.degrees, t.labels) == (3, None, None, over_f3.labels)
+        for a, b in ((t.mult, over_f3.mult), (t.comul, over_f3.comul),
+                     (t.counit, over_f3.counit), (t.antipode, over_f3.antipode)):
+            assert a.modulus == 3 and a.cols == tuple(residues_of(col) for col in b.cols)
+        assert t.unit == residues_of(over_f3.unit)
+        # Transposing twice gives the residue structure back, at t = 1 too.
+        for c in (checked, hopf.checked_structure(deformation_hopf(3))):
+            back = hopf._transpose(hopf._transpose(c))
+            assert back.modulus == 3
+            assert (back.mult.cols, back.unit, back.comul.cols, back.counit.cols,
+                    back.antipode.cols) == (c.mult.cols, c.unit, c.comul.cols, c.counit.cols,
+                                            c.antipode.cols)
+
+    @pytest.mark.parametrize("which", ["deformation", "generic-constant", "corrupt-antipode"])
+    def test_no_transpose_is_reachable(self, monkeypatch, which):
+        if which == "deformation":
+            h = deformation_hopf(3)
+        elif which == "corrupt-antipode":
+            h = deformation_hopf(3, mutation="corrupt-antipode")
+        else:
+            h = catalog_build("constant_cyclic", 3, 2, Fiber.GENERIC).hopf
+        checked = hopf.checked_structure(h)
+        taken = counting_transposed(monkeypatch)
+        report = verify_axioms(checked)
+        assert report.ok == (which != "corrupt-antipode")
+        assert len(taken) == 1
+        # corrupt-antipode is not homogeneous: its transpose is over R.
+        assert (taken[0].modulus is None) == (which == "corrupt-antipode")
+        reach = TestResidueCopiesDoNotOutliveTheCheck.reachable
+        ids = {id(obj) for root in (h, checked) for obj in reach(root)}
+        transposed = {id(obj) for obj in reach(taken[0])} - {id(obj) for obj in reach(checked)}
+        assert id(taken[0]) in transposed and not ids & transposed
