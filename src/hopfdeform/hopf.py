@@ -1184,12 +1184,39 @@ def _iso_graded_form(s1: HopfAlgebra, s2: HopfAlgebra, phi: LinearMap, ring):
 # Hopf ideal quotients
 
 
+def _unit_pivot_projection(ideal: list[tuple[int, dict]], ring, r: int) -> LinearMap | None:
+    """The projection of the rank-r module onto the non-pivot basis vectors
+    along the span of a row_reduce result, or None when some pivot is not a
+    unit.  With unit pivots the rows are reduced with pivot 1, so e_c is
+    row_c minus the rest of row_c for a pivot column c: pi(e_c) is minus
+    that rest, and pi(e_j) = e_j for every other j."""
+    if not all(row[col].is_unit() for col, row in ideal):
+        return None
+    cols = [{j: ring.one()} for j in range(r)]
+    for col, row in ideal:
+        cols[col] = {j: -c for j, c in row.items() if j != col}
+    return LinearMap(ring, r, r, cols)
+
+
 def hopf_quotient(h: HopfPresentation, ideal_gens: list[AlgebraElement]) -> HopfPresentation:
     """Quotient by the ideal generated by a subset of the algebra generators.
 
     The generators must span a Hopf ideal (counit kills it, antipode and
     comultiplication preserve it) and the quotient module must stay free
     over the base ring; both conditions are verified, not assumed.
+
+    When every pivot of the ideal's echelon form is a unit, the rows are in
+    reduced echelon form with pivot 1, so the ideal I is a direct summand:
+    H = I (+) C with C spanned by the non-pivot basis vectors.  Then
+    I(x)H + H(x)I is the kernel of pi (x) pi for the projection pi of H onto
+    C along I, which is read off the rows (_unit_pivot_projection), and the
+    comultiplication test applies pi to both tensor factors of Delta(g).  The
+    rows keep their unit pivots at t = 0, so the quotient is free.  When some
+    pivot is not a unit (over F_p[t]_(t), as for (y) in the deformation,
+    where t*x lies in the ideal but x does not), the ideal need not be a
+    summand: the test row-reduces the 2*|I|*rank spanning columns of
+    I(x)H + H(x)I instead, and freeness is decided by comparing the ideal's
+    rank at t = 0 with its generic rank.
     """
     A = h.algebra
     gens = []
@@ -1223,23 +1250,26 @@ def hopf_quotient(h: HopfPresentation, ideal_gens: list[AlgebraElement]) -> Hopf
         if not in_span(ideal, h.antipode_of(g).vec()):
             raise NotAHopfIdealError(f"antipode image of {g} leaves the ideal")
     r = A.rank
-    side_cols = []
-    for _, row in ideal:
-        for m in range(r):
-            side_cols.append(_outer(row, basis[m].vec(), r))
-            side_cols.append(_outer(basis[m].vec(), row, r))
-    side = row_reduce(side_cols)
+    pi = _unit_pivot_projection(ideal, A.ring, r)
+    if pi is None:
+        side_cols = []
+        for _, row in ideal:
+            for m in range(r):
+                side_cols.append(_outer(row, basis[m].vec(), r))
+                side_cols.append(_outer(basis[m].vec(), row, r))
+        side = row_reduce(side_cols)
     for g in gens:
-        if not in_span(side, h.comul_of(g).vec()):
+        vec = h.comul_of(g).vec()
+        if tensor_apply(pi, pi, vec) if pi is not None else not in_span(side, vec):
             raise NotAHopfIdealError(
                 f"comultiplication of {g} leaves ideal(x)algebra + algebra(x)ideal"
             )
 
     # Freeness of the quotient module.  Over the local base ring the ideal's
     # rank may drop at t = 0; the two fiber ranks agree exactly when the
-    # quotient is free.
+    # quotient is free.  Unit pivots stay units at t = 0.
     generic_rank = len(ideal)
-    if isinstance(A.ring, LocalRing):
+    if pi is None and isinstance(A.ring, LocalRing):
         special_rank = len(row_reduce([_specialize(row, Fiber.SPECIAL) for _, row in ideal]))
         if special_rank != generic_rank:
             raise NotFreeQuotientError(

@@ -38,6 +38,7 @@ from hopfdeform.hopf import (
     generic_grouplike,
     grouplike_order,
     grouplike_power_matrix,
+    hopf_presentation,
     hopf_quotient,
     is_grouplike,
     iso_alpha_product_to_dual_special,
@@ -56,6 +57,8 @@ from hopfdeform.algebra import (
     AlgebraElement,
     LinearMap,
     MonomialQuotientAlgebra,
+    in_span,
+    row_reduce,
     tensor_apply_left,
     tensor_apply_right,
 )
@@ -553,6 +556,171 @@ class TestHopfQuotient:
         mu = catalog_build("mu", 2, 1, Fiber.SPECIAL).hopf
         with pytest.raises(NotAHopfIdealError):
             hopf_quotient(mu, [mu.algebra.gen(0)])
+
+
+def projection_off(monkeypatch):
+    monkeypatch.setattr(hopf, "_unit_pivot_projection", lambda *args: None)
+
+
+def counting_projections(monkeypatch):
+    """The projections hopf_quotient takes its comultiplication test to."""
+    real = hopf._unit_pivot_projection
+    taken = []
+
+    def counting(*args):
+        pi = real(*args)
+        if pi is not None:
+            taken.append(pi)
+        return pi
+
+    monkeypatch.setattr(hopf, "_unit_pivot_projection", counting)
+    return taken
+
+
+def quotient_outcome(h, gens):
+    """What hopf_quotient gives: the quotient's JSON and axiom report, or the
+    error's type and message."""
+    try:
+        q = hopf_quotient(h, gens)
+    except (NotAHopfIdealError, NotFreeQuotientError, UnsupportedParametersError) as exc:
+        return type(exc).__name__, str(exc)
+    return json.dumps(presentation_to_json(q)), verify_axioms(q).to_dict()
+
+
+def leaky_presentation(p, ring):
+    """F_p[x,y]/(x^p, y^p) with Delta(x) = x(x)1 + 1(x)x + y(x)y, y primitive,
+    S = -id on the generators and counit 0.  The counit and antipode keep
+    (x), but Delta(x) leaves (x)(x)H + H(x)(x) through y(x)y."""
+    A = MonomialQuotientAlgebra(ring, ("x", "y"), (p, p), [{}, {}])
+    sq = A.tensor(A)
+    x, y, one = A.gen(0), A.gen(1), A.one()
+    return hopf_presentation(
+        A,
+        [sq.pure_tensor(x, one) + sq.pure_tensor(one, x) + sq.pure_tensor(y, y),
+         sq.pure_tensor(y, one) + sq.pure_tensor(one, y)],
+        [ring.zero(), ring.zero()],
+        [-x, -y],
+    )
+
+
+class TestUnitPivotProjection:
+    """On seeded echelon forms, _unit_pivot_projection is the projection onto
+    the non-pivot basis vectors along the rows' span, and it refuses exactly
+    the forms with a non-unit pivot."""
+
+    @pytest.mark.parametrize("ring", [PrimeField(5), FunctionField(5), LocalRing(5)],
+                             ids=["F5", "F5(t)", "F5[t]_(t)"])
+    def test_projection_along_the_span(self, ring):
+        rng = random.Random(20261020)
+        r = 6
+        taken = refused = 0
+        for _ in range(60):
+            rows = []
+            for _ in range(rng.randrange(1, r)):
+                row = {}
+                for j in rng.sample(range(r), rng.randrange(1, 4)):
+                    c = ring.from_int(rng.randrange(1, 5))
+                    row[j] = c * ring.t() if hasattr(ring, "t") and rng.random() < 0.3 else c
+                rows.append(row)
+            ideal = row_reduce(rows)
+            pi = hopf._unit_pivot_projection(ideal, ring, r)
+            if pi is None:
+                refused += 1
+                assert not all(row[col].is_unit() for col, row in ideal)
+                continue
+            taken += 1
+            pivots = {col for col, _ in ideal}
+            for _, row in ideal:
+                assert pi.apply(row) == {}
+            for j in range(r):
+                image = pi.apply({j: ring.one()})
+                assert not pivots & image.keys()
+                if j not in pivots:
+                    assert image == {j: ring.one()}
+                rest = {i: -c for i, c in image.items()}
+                rest[j] = rest.get(j, ring.zero()) + ring.one()
+                assert in_span(ideal, rest)
+        assert taken
+        assert refused if isinstance(ring, LocalRing) else not refused
+
+
+class TestProjectionOracle:
+    """Quotients whose comultiplication test runs through the projection
+    along the ideal equal the quotients of the elimination of the
+    I(x)H + H(x)I spanning columns, errors included."""
+
+    @staticmethod
+    def cases(p):
+        h = deformation_hopf(p)
+        out = []
+        for s in (h, specialize_hopf(h, Fiber.SPECIAL), specialize_hopf(h, Fiber.GENERIC)):
+            x, y = s.algebra.gen(0), s.algebra.gen(1)
+            out += [(s, [x]), (s, [y]), (s, [x, y])]
+        for name, k in [("alpha_p", 1), ("mu", 1), ("mu", 2)]:
+            for fiber in Fiber:
+                s = catalog_build(name, p, k, fiber).hopf
+                out.append((s, [s.algebra.gen(0)]))
+        return out
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_both_paths_give_the_same_quotients(self, monkeypatch, p):
+        taken = counting_projections(monkeypatch)
+        on = [quotient_outcome(s, gens) for s, gens in self.cases(p)]
+        # The three ideals on the three structures, less (y) over R, and
+        # alpha_p on both fibers (mu fails at its counit first).
+        assert len(taken) == 10
+        assert on[0][1]["passed"] and on[1][0] == "NotFreeQuotientError"
+        projection_off(monkeypatch)
+        taken.clear()
+        off = [quotient_outcome(s, gens) for s, gens in self.cases(p)]
+        assert taken == []
+        assert on == off
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("local", [False, True])
+    def test_leaky_comultiplication_fails_on_both_paths(self, monkeypatch, p, local):
+        h = leaky_presentation(p, LocalRing(p) if local else PrimeField(p))
+        x = h.algebra.gen(0)
+        message = "comultiplication of x leaves ideal(x)algebra + algebra(x)ideal"
+        taken = counting_projections(monkeypatch)
+        with pytest.raises(NotAHopfIdealError) as on:
+            hopf_quotient(h, [x])
+        assert len(taken) == 1
+        projection_off(monkeypatch)
+        with pytest.raises(NotAHopfIdealError) as off:
+            hopf_quotient(h, [x])
+        assert str(on.value) == str(off.value) == message
+
+
+def counting_row_reduce(monkeypatch):
+    """The number of rows of each hopf.row_reduce call, in order."""
+    real = hopf.row_reduce
+    sizes = []
+
+    def counting(rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(hopf, "row_reduce", counting)
+    return sizes
+
+
+class TestQuotientWork:
+    def test_unit_pivots_skip_the_side_space_elimination(self, monkeypatch):
+        h = deformation_hopf(5)
+        sizes = counting_row_reduce(monkeypatch)
+        q = hopf_quotient(h, [h.algebra.gen(0)])
+        assert q.rank == 5
+        assert sizes and max(sizes) <= h.algebra.rank
+
+    def test_a_non_unit_pivot_still_eliminates_the_side_space(self, monkeypatch, capsys):
+        sizes = counting_row_reduce(monkeypatch)
+        assert cli.main(["--format", "json", "quotient", "--p", "3", "--kill", "y"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "NotFreeQuotientError"
+        # 2 * |I| * rank spanning columns of I(x)H + H(x)I, |I| = 8 at p = 3
+        assert max(sizes) == 2 * 8 * 9
 
 
 class TestAntipodeProperties:
