@@ -25,29 +25,27 @@ transpose is commutative exactly when the checked structure is
 cocommutative; a structure that is not, like functions on a nonabelian
 group, is checked on its own side.
 
-A structure over F_p, or one whose constants all lie in F_p
-(_over_prime_field), is checked as a residue structure: a HopfAlgebra over
-F_p whose tensors (and the map phi of exhibit_isomorphism) hold plain int
-residues, with modulus p on each LinearMap.  Each kernel is one loop on
-either kind of scalar: it adds every product into the output without
-testing it for zero, and _nonzero drops the zero sums once per output
-vector, reducing the int sums mod p first on a residue structure.  The
-identity list is the same on both.  checked_structure converts a structure
-once, and a caller that checks it twice passes the result down.
-
-The deformation is graded: with deg y = 1, deg x = p + 1 and deg t = -1
-(the Rees picture of Sekiguchi, Oort and Suwa, Ann. Sci. ENS 22, 1989)
-every structure constant is c*t^k with k fixed by the degrees of the basis
-elements it joins.  grading finds such degrees from the tensors alone,
-and stops at the first constant that is not a monomial or that conflicts.
-Every identity the checkers compare is then an equality of two degree-0
-maps: at each output index both sides are (a sum of F_p constants)*t^k
-with the same k, so it holds over F_p[t]_(t) or F_p(t) exactly when it
-holds over F_p at t = 1.  A graded structure with some k != 0 is checked
-as its residue structure at t = 1 (_graded_residues), with the same
-comparisons, reports and first offenders as over its ring; a t-free one
-takes the residue path above, and one that is not homogeneous is checked
-over its ring.
+A structure leaves its ring for int residues by one conversion (_at_one),
+which checked_structure applies once; a caller that checks a structure
+twice passes the result down.  Over F_p the residues are copied.  Over
+F_p[t]_(t) or F_p(t) each constant is read as c*t^k and taken at t = 1.
+When every k is 0 the structure is t-free, and base change along the
+injection F_p -> R preserves and reflects every identity (Waterhouse,
+Introduction to Affine Group Schemes, ch. 1-2).  Otherwise the constants
+must be homogeneous under one grading, as the deformation's are with
+deg y = 1, deg x = p + 1 and deg t = -1 (the Rees picture of Sekiguchi,
+Oort and Suwa, Ann. Sci. ENS 22, 1989); grading finds such degrees from
+the tensors alone.  Every identity compared is then an equality of two
+degree-0 maps, whose entries at each output index are (a sum of F_p
+constants)*t^k with the same k on both sides, so it holds over the ring
+exactly when it holds at t = 1.  A structure with a constant that is not a
+monomial, or whose degrees conflict, is checked over its ring.  On a
+residue structure (a HopfAlgebra over F_p with modulus p on each
+LinearMap; phi of exhibit_isomorphism likewise) each kernel runs the same
+one loop: it adds every product without testing it for zero, and _nonzero
+drops the zero sums once per output vector, reducing them mod p first.
+The identity list, the reports and the first offenders are the same on
+both.
 
 The central object built here is the order-p^2 deformation
 R[x,y]/(x^p, y^p - t*x) over F_p[t] localized at (t), whose special
@@ -57,6 +55,7 @@ generic fiber is multiplicative of order p^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .algebra import (
@@ -107,13 +106,13 @@ class HopfAlgebra:
     mult: H(x)H -> H, comul: H -> H(x)H, counit: H -> R, antipode: H -> H,
     all as sparse-column linear maps; unit is the coefficient vector of 1.
     Tensor indices follow the left-most-significant convention i*rank + j.
-    A residue structure (_residues, _graded_residues) is over F_p, holds
+    A residue structure (the one conversion, _at_one) is over F_p, holds
     int residues in [1, p) in maps of modulus p, and has as source the
     structure it was made from; the transpose of one (_transpose) holds
     the same residues with source None, and every other structure has
-    modulus and source None.  A residue structure taken at t = 1
-    (_graded_residues) also holds the grading of its source in degrees;
-    every other structure has degrees None.  The products vec_mult and
+    modulus and source None.  A residue structure read with some constant
+    c*t^k, k != 0, also holds the grading of its source in degrees; every
+    other structure has degrees None.  The products vec_mult and
     square_mult run the same loop on both and drop zeros once per result
     (_nonzero).
     """
@@ -354,16 +353,10 @@ def verify_axioms(h) -> AxiomReport:
 
     Each identity compares two composites of the structure maps on basis
     elements (or pairs of them).  Cocommutativity is reported but not required.
-    A structure over F_p, or one whose constants all lie in F_p, is checked
-    on its int residues (_residue_form).  A structure over F_p[t]_(t) or
-    F_p(t) that has a grading (grading) with some constant c*t^k, k != 0, is
-    checked on its int residues at t = 1 (_graded_residues): every composite
-    compared here is a degree-0 map, so each side of an identity has, at each
-    output index, the form (a sum of F_p constants)*t^k with the same k on
-    both sides, fixed by the degrees of the indices.  The comparison, the
-    report and the first offender are those of the ring check, with no
-    fallback.  A structure that is not homogeneous, like corrupt-antipode's,
-    is checked over its ring.
+    The identities run on int residues when the one conversion exists
+    (checked_structure, _at_one), with the comparisons, the report and the
+    first offenders of the ring check and no fallback.  A structure that is
+    not homogeneous, like corrupt-antipode's, is checked over its ring.
 
     The bialgebra law on pairs, Delta(e_i e_j) = Delta(e_i) Delta(e_j), and
     the antipode identities are their own Cartier transposes: transposing
@@ -447,213 +440,221 @@ def _antipode_at(s: HopfAlgebra) -> str | None:
 
 def checked_structure(h) -> HopfAlgebra:
     """The structure verify_axioms and exhibit_isomorphism check for h: its
-    int residue structure when h is over F_p or every constant of h lies in
-    F_p, its residue structure at t = 1 when h is graded with some constant
-    off degree 0 (_graded_residues), else as_structure(h).  A caller that
-    checks h more than once passes this in place of h, so that h is
-    descended and converted once."""
+    one conversion to int residues (_at_one), or as_structure(h) where h
+    stays on its ring.  A caller that checks h more than once passes this
+    in place of h, so that h is converted once."""
     s = as_structure(h)
-    return _residue_form(s) or _graded_residues(s) or s
-
-
-def _residue_form(s: HopfAlgebra) -> HopfAlgebra | None:
-    """s as the checkers run it on int residues: s itself when it holds them
-    already, its residue structure when s is over F_p or every constant of s
-    lies in F_p (_over_prime_field), and None otherwise."""
-    if s.modulus is not None:
-        return s
-    d = s if isinstance(s.ring, PrimeField) else _over_prime_field(s)
-    return None if d is None else _residues(d, s)
-
-
-def _residues(s: HopfAlgebra, source: HopfAlgebra) -> HopfAlgebra:
-    """s, a structure over F_p, with every scalar as its int residue.
-
-    The kernels (LinearMap.apply, tensor_apply_left/right, vec_mult,
-    square_mult, _outer, _sum) then run their one loop on plain ints, and
-    _nonzero reduces the sums mod p and drops the zeros once per output
-    vector, so two vectors are equal exactly when their residue dicts are.
-    source is the structure the caller passed, whose ring the checks of
-    exhibit_isomorphism name.
-    """
-    out = HopfAlgebra(s.ring, s.labels, s.mult.residues(), {}, s.comul.residues(),
-                      s.counit.residues(), s.antipode.residues())
-    out.unit = {i: c.residue for i, c in s.unit.items()}
-    out.source = source
-    return out
-
-
-def _over_prime_field(s: HopfAlgebra) -> HopfAlgebra | None:
-    """The same structure over F_p, when every structure constant of s is a
-    constant of F_p(t) or F_p[t]_(t); None otherwise, or over any other ring.
-
-    F_p -> R is injective, so base change along it preserves and reflects
-    every identity the checkers compare (Waterhouse, Introduction to Affine
-    Group Schemes, ch. 1-2): a check over F_p gives the report it gives over
-    R, offenders included.  The scan stops at the first scalar that is not
-    a constant.
-    """
-    if not isinstance(s.ring, (FunctionField, LocalRing)):
-        return None
-    field = PrimeField(s.ring.p)
-    maps = []
-    for m in (s.mult, s.comul, s.counit, s.antipode):
-        m = _map_over_prime_field(m, field)
-        if m is None:
-            return None
-        maps.append(m)
-    unit = _vec_over_prime_field(s.unit, field.elements())
-    if unit is None:
-        return None
-    mult, comul, counit, antipode = maps
-    return HopfAlgebra(field, s.labels, mult, unit, comul, counit, antipode)
-
-
-def _map_over_prime_field(m: LinearMap, field: PrimeField) -> LinearMap | None:
-    cols = []
-    elements = field.elements()
-    for col in m.cols:
-        col = _vec_over_prime_field(col, elements)
-        if col is None:
-            return None
-        cols.append(col)
-    return LinearMap(field, m.source_dim, m.target_dim, cols)
-
-
-def _vec_over_prime_field(vec: dict, elements: list) -> dict | None:
-    """vec with each constant c/1 of F_p(t) or F_p[t]_(t) as c in F_p, taken
-    from elements (the p elements of F_p, shared since they are immutable);
-    None at the first entry that is not such a constant."""
-    out = {}
-    for i, c in vec.items():
-        num = c.num.coeffs
-        if len(num) > 1 or c.den.coeffs != (1,):
-            return None
-        out[i] = elements[num[0] if num else 0]
-    return out
+    return (_at_one((s,)) or (s,))[0]
 
 
 # ---------------------------------------------------------------------------
-# gradings: checks at t = 1
+# the one conversion to residues: checks at t = 1
 
 
 def grading(h) -> list[int] | None:
     """Integer degrees d on the basis of h under which every structure
-    constant is homogeneous, read off the structure tensors alone.
+    constant is homogeneous, read off the structure tensors alone by the
+    one conversion (_at_one).
 
     Over F_p[t]_(t) or F_p(t), with deg t = -1, a nonzero constant c*t^k
     from a source index to a target index forces k = d(target) - d(source):
     the indices of H(x)H add (d(e_i (x) e_j) = d_i + d_j), and the unit 1
     and the base ring's 1 (the target of the counit) sit in degree 0.  The
     deformation has d(x^a y^b) = a*(p + 1) + b; its Cartier dual has the
-    negated degrees.  Degrees that no constant fixes are 0.  None at the
-    first constant that is not a single monomial c*t^k, or that conflicts
-    with the degrees already fixed; None when every k is 0 (a t-free
-    structure is checked over F_p as it is), and over any other ring.
+    negated degrees.  Degrees that no constant fixes are 0.  None where h
+    stays on its ring, when every k is 0 (a t-free structure), and over
+    F_p.  h may be given as checked_structure gives it.
     """
-    graded = _graded(as_structure(h), build=False)
-    return None if graded is None else graded[1]
+    degrees = checked_structure(h).degrees
+    return None if degrees is None else list(degrees)
+
+
+def _at_one(sides: tuple, phi: LinearMap | None = None) -> tuple | None:
+    """The one conversion to int residues: the structures sides, and phi
+    from the first of them to the second, read together over the ring of
+    the first (of its source, for a residue structure); None where they
+    stay on their ring.
+
+    Over F_p every scalar is copied as its residue.  Over F_p[t]_(t) or
+    F_p(t) every constant c*t^k is read (_Grading) and taken as c, its
+    value at t = 1, which the checkers compare in its place (module
+    docstring): the residue structures have degrees None when every k is
+    0, and otherwise the grading under which every constant is homogeneous.
+    None at the first constant that is not a monomial or that conflicts,
+    and over any other ring.
+
+    The result holds the residue structure of each side, with source the
+    side, and then phi on residues.  A side that holds residues already is
+    taken as it is, with the constraints of the structure it was made
+    from, and a residue structure alone is its own conversion.
+    """
+    s = sides[0]
+    if phi is None and s.modulus is not None:
+        return sides
+    ring = (s.source or s).ring
+    if (phi is not None and phi.ring != ring
+            or not isinstance(ring, (PrimeField, FunctionField, LocalRing))):
+        return None
+    r = s.rank
+    g = _Grading(len(sides) * r, copy=isinstance(ring, PrimeField))
+    maps = []
+    for n, side in enumerate(sides):
+        m = g.structure(side, n * r)
+        if m is None:
+            return None
+        maps.append(m)
+    if phi is not None:
+        phi_cols = g.columns(phi.cols, [(j,) for j in range(r)], [(r + i,) for i in range(r)])
+        if phi_cols is None:
+            return None
+    degrees = g.solve()
+    if degrees is False:
+        return None
+    field = PrimeField(ring.p)
+
+    def at_one(m, cols):
+        return LinearMap.of_residues(field, m.source_dim, m.target_dim, cols)
+
+    out = []
+    for n, (side, m) in enumerate(zip(sides, maps)):
+        if side.modulus is None:
+            unit, counit, antipode, comul, mult = m
+            d = HopfAlgebra(field, side.labels, at_one(side.mult, mult), {},
+                            at_one(side.comul, comul), at_one(side.counit, counit),
+                            at_one(side.antipode, antipode))
+            d.unit, d.source = unit[0], side
+            d.degrees = degrees and tuple(degrees[n * r:(n + 1) * r])
+            side = d
+        out.append(side)
+    if phi is not None:
+        out.append(at_one(phi, phi_cols))
+    return tuple(out)
 
 
 class _Grading:
-    """Integer degrees on n unknowns, fixed constant by constant.
+    """The reader of _at_one: each constant as c*t^k, and integer degrees on
+    n unknowns fixed constant by constant.
 
     A constant c*t^k with source indices src and target indices tgt (tuples
     of unknowns, repeated where a basis element occurs twice) records the
     constraint sum d(tgt) - sum d(src) = k.  A constraint with one unknown
     left fixes it (it conflicts if the division is not exact); one with two
-    or more waits for solve.  tilted records whether some k is nonzero.
+    or more waits for solve.  Constraints are recorded only from the first
+    constant with k != 0 on (tilted): the columns read before it, every
+    constant of degree 0, are kept in read and replayed then, so a t-free
+    read forms no constraint.  copy reads over F_p, where every constant is
+    c*t^0, by copying residues.
     """
 
-    __slots__ = ("deg", "waiting", "tilted")
+    __slots__ = ("deg", "waiting", "read", "copy")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, copy: bool = False):
         self.deg = [None] * n
         self.waiting = []
-        self.tilted = False
+        self.read = []
+        self.copy = copy
 
-    def _settle(self, terms: tuple, k: int) -> bool | None:
-        """True when terms . d = k holds or fixes its one unknown, False on a
-        conflict, None while two or more unknowns are left."""
+    def _settle(self, terms: tuple, k: int, waiting: list) -> bool:
+        """Record terms . d = k: True when it holds, fixes its one unknown,
+        or joins waiting with two or more unknowns left; False on a
+        conflict."""
         deg = self.deg
-        unknown = None
+        left, unknown = k, None
         for v, a in terms:
             dv = deg[v]
             if dv is not None:
-                k -= a * dv
+                left -= a * dv
             elif unknown is None:
                 unknown = v, a
             else:
-                return None
+                waiting.append((terms, k))
+                return True
         if unknown is None:
-            return k == 0
+            return left == 0
         v, a = unknown
-        q, rem = divmod(k, a)
+        q, rem = divmod(left, a)
         if rem:
             return False
         deg[v] = q
         return True
 
-    def columns(self, cols, sources, targets, build: bool) -> list | None:
-        """cols at t = 1 (each constant c*t^k as the residue c; empty dicts
-        when not build), recording the constraint of each constant; None at
-        the first constant that is not a monomial or that conflicts.
-        sources[j] and targets[i] are the unknowns of column j and row i."""
+    def _degree_zero(self, parts) -> bool:
+        """Take every constant of parts, (columns, sources, targets) as in
+        columns, at k = 0: kept in read until the grading tilts, recorded
+        after that; False on a conflict."""
+        if self.read is not None:
+            self.read.extend(parts)
+            return True
+        return all(self._settle(_net_terms(targets[i], src), 0, self.waiting)
+                   for cols, sources, targets in parts
+                   for src, col in zip(sources, cols) for i in col)
+
+    def columns(self, cols, sources, targets) -> list | None:
+        """cols at t = 1, each constant c*t^k as the residue c, its
+        constraint recorded once tilted; None at the first constant that is
+        not a monomial or that conflicts.  sources[j] and targets[i] are the
+        unknowns of column j and row i."""
+        if self.copy:
+            return [{i: c.residue for i, c in col.items()} for col in cols]
         out = []
-        waiting = self.waiting
+        # Until the grading tilts, what is read here is kept for the replay.
+        self._degree_zero([(out, sources, targets)])
         for src, col in zip(sources, cols):
             at_one = {}
+            out.append(at_one)
             for i, c in col.items():
                 num, den = c.num.coeffs, c.den.coeffs
                 if any(num[:-1]) or any(den[:-1]):
                     return None
                 k = len(num) - len(den)
-                if k:
-                    self.tilted = True
-                terms = _net_terms(targets[i], src)
-                settled = self._settle(terms, k)
-                if settled is None:
-                    waiting.append((terms, k))
-                elif not settled:
-                    return None
-                if build:
-                    at_one[i] = num[-1]
-            out.append(at_one)
+                if k or self.read is None:
+                    if self.read is not None:
+                        # The first constraint: what was read before it, all
+                        # of degree 0 on no fixed degree, cannot conflict.
+                        read, self.read = self.read, None
+                        self._degree_zero(read)
+                    if not self._settle(_net_terms(targets[i], src), k, self.waiting):
+                        return None
+                at_one[i] = num[-1]
         return out
 
-    def structure(self, s: HopfAlgebra, o: int, build: bool) -> list | None:
-        """[mult, unit, comul, counit, antipode] of s at t = 1, its basis
-        taken as the unknowns o, ..., o + rank - 1; None as in columns.  The
-        unit and counit come first, then the antipode, so that a stray term
-        like corrupt-antipode's is met early."""
-        r = s.rank
-        ones = [(o + i,) for i in range(r)]
-        pairs = [(o + i, o + j) for i in range(r) for j in range(r)]
+    def structure(self, s: HopfAlgebra, o: int) -> list | None:
+        """The columns of the unit, counit, antipode, comultiplication and
+        multiplication of s at t = 1, in that order (a stray term like
+        corrupt-antipode's is met early), its basis taken as the unknowns
+        o, ..., o + rank - 1; None as in columns.  A residue structure s is
+        read for its constraints alone (empty list): those of its source
+        when it holds degrees, else its own at k = 0."""
+        if s.modulus is not None and s.degrees is not None:
+            return self.structure(s.source, o) and []
+        basis = range(o, o + s.rank)
+        ones = [(v,) for v in basis]
+        pairs = list(itertools.product(basis, repeat=2))
+        parts = (([s.unit], [()], ones), (s.counit.cols, ones, [()]),
+                 (s.antipode.cols, ones, ones), (s.comul.cols, ones, pairs),
+                 (s.mult.cols, pairs, ones))
+        if s.modulus is not None:
+            return [] if self._degree_zero(parts) else None
         out = []
-        for cols, sources, targets in (
-                ([s.unit], [()], ones), (s.counit.cols, ones, [()]),
-                (s.antipode.cols, ones, ones), (s.comul.cols, ones, pairs),
-                (s.mult.cols, pairs, ones)):
-            cols = self.columns(cols, sources, targets, build)
+        for part in parts:
+            cols = self.columns(*part)
             if cols is None:
                 return None
             out.append(cols)
-        unit, counit, antipode, comul, mult = out
-        return [mult, unit[0], comul, counit, antipode]
+        return out
 
-    def solve(self) -> list[int] | None:
-        """Degrees meeting every recorded constraint, or None on a conflict.
-        When every waiting constraint has two unknowns left, the first of
-        them is fixed at 0; unknowns no constraint reaches are 0."""
+    def solve(self) -> list[int] | bool | None:
+        """Degrees meeting every recorded constraint: None when no constant
+        has k != 0, False on a conflict.  When every waiting constraint has
+        two unknowns left, the first of them is fixed at 0; unknowns no
+        constraint reaches are 0."""
+        if self.read is not None:
+            return None
         deg, waiting = self.deg, self.waiting
         while waiting:
             left = []
-            for terms, k in waiting:
-                settled = self._settle(terms, k)
-                if settled is None:
-                    left.append((terms, k))
-                elif not settled:
-                    return None
+            if not all(self._settle(terms, k, left) for terms, k in waiting):
+                return False
             if len(left) == len(waiting):
                 deg[next(v for v, _ in left[0][0] if deg[v] is None)] = 0
             waiting = left
@@ -669,49 +670,6 @@ def _net_terms(target: tuple, source: tuple) -> tuple:
     for v in source:
         acc[v] = acc.get(v, 0) - 1
     return tuple((v, a) for v, a in acc.items() if a)
-
-
-def _graded_residues(s: HopfAlgebra) -> HopfAlgebra | None:
-    """s at t = 1 on int residues, when s is over F_p[t]_(t) or F_p(t), has
-    a grading (grading) and some constant c*t^k with k != 0; else None.
-
-    Under the grading every composite the checkers compare is a degree-0
-    map, so each entry of either side of an identity, on a basis element
-    or pair, is (a sum of F_p products)*t^k with k fixed by the degrees of
-    the indices alone: the two sides agree exactly when their values at
-    t = 1 do.  t-free structures take _residue_form instead.
-    """
-    graded = _graded(s, build=True)
-    return None if graded is None else _at_one(s, *graded)
-
-
-def _graded(s: HopfAlgebra, build: bool) -> tuple | None:
-    """(the five tensors of s at t = 1, or empty columns when not build,
-    the grading of s), or None where grading gives None."""
-    if not isinstance(s.ring, (FunctionField, LocalRing)):
-        return None
-    g = _Grading(s.rank)
-    maps = g.structure(s, 0, build)
-    if maps is None or not g.tilted:
-        return None
-    degrees = g.solve()
-    return None if degrees is None else (maps, degrees)
-
-
-def _at_one(s: HopfAlgebra, maps: list, degrees: list) -> HopfAlgebra:
-    """The residue structure over F_p with the t = 1 columns maps =
-    [mult, unit, comul, counit, antipode] of s, its source s and its
-    degrees."""
-    field = PrimeField(s.ring.p)
-    mult, unit, comul, counit, antipode = maps
-
-    def at_one(m, cols):
-        return LinearMap.of_residues(field, m.source_dim, m.target_dim, cols)
-
-    out = HopfAlgebra(field, s.labels, at_one(s.mult, mult), {}, at_one(s.comul, comul),
-                      at_one(s.counit, counit), at_one(s.antipode, antipode))
-    out.unit, out.source, out.degrees = unit, s, tuple(degrees)
-    return out
 
 
 def _first_label(s: HopfAlgebra, differs) -> str | None:
@@ -845,7 +803,7 @@ def specialize_linear_map(m: LinearMap, fiber: Fiber) -> LinearMap:
 class CatalogEntry:
     """A verified catalog object.  checked is the structure its verification
     ran on (checked_structure); the checkers take it in place of hopf, so
-    the entry is not descended or converted again."""
+    the entry is not converted again."""
 
     __slots__ = ("name", "p", "k", "fiber", "hopf", "checked")
 
@@ -1070,14 +1028,11 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
     structure-compatibility identity is checked mechanically.  h1 and h2
     may be given as checked_structure gives them; the ring, rank and map
     checks then read the structures they were made from.  The
-    compatibility identities run on int residues when h1, h2 and phi are
-    all over F_p or t-free (_iso_residue_form), or, over F_p[t]_(t) or
-    F_p(t), when the three have one grading with some constant off degree
-    0 and phi is of degree 0 (_iso_graded_form): each identity then
-    compares two degree-0 maps, whose entries are (sums of F_p
-    constants)*t^k with the same k, so it holds exactly when it holds at
-    t = 1, and the report is the one of the ring check.  The invertibility
-    of phi is always decided over the caller's ring.
+    compatibility identities run on int residues when the one conversion
+    (_at_one) reads h1, h2 and phi together: over F_p, t-free, or under one
+    grading of the three with phi of degree 0.  The report is the one of
+    the ring check.  The invertibility of phi is always decided over the
+    caller's ring.
     """
     s1, s2 = as_structure(h1), as_structure(h2)
     # A residue structure stands for the structure it was made from.
@@ -1105,10 +1060,9 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
         record("map is invertible", False, str(exc))
         return report
 
-    # Descend only now: the ring check and the invertibility detail above
+    # Convert only now: the ring check and the invertibility detail above
     # name the rings the caller passed.
-    s1, s2, phi = (_iso_residue_form(s1, s2, phi, o1.ring)
-                   or _iso_graded_form(s1, s2, phi, o1.ring) or (o1, o2, phi))
+    s1, s2, phi = _at_one((s1, s2), phi) or (o1, o2, phi)
     record("unit preserved", phi.apply(s1.unit) == s2.unit)
     checks = (
         ("multiplication preserved", _first_pair(
@@ -1123,61 +1077,6 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
     for name, offender in checks:
         record(name, offender is None, offender)
     return report
-
-
-def _iso_residue_form(s1: HopfAlgebra, s2: HopfAlgebra, phi: LinearMap, ring):
-    """(s1, s2, phi) on int residues when phi is over the caller's ring and
-    all three are over F_p or have every constant in F_p, else None.
-
-    phi is tried first and s1 last: in the pipeline phi or s2 is the side
-    that involves t, and then no structure is converted in vain.  A residue
-    structure taken at t = 1 (degrees set) stands for a structure that
-    involves t, so it is left to _iso_graded_form.
-    """
-    if phi.ring != ring or s1.degrees is not None or s2.degrees is not None:
-        return None
-    dphi = phi if isinstance(ring, PrimeField) else _map_over_prime_field(phi, PrimeField(ring.p))
-    if dphi is None:
-        return None
-    d2 = _residue_form(s2)
-    if d2 is None:
-        return None
-    d1 = _residue_form(s1)
-    if d1 is None:
-        return None
-    return d1, d2, dphi.residues() if d1.modulus else dphi
-
-
-def _iso_graded_form(s1: HopfAlgebra, s2: HopfAlgebra, phi: LinearMap, ring):
-    """(s1, s2, phi) at t = 1 on int residues when phi is over the caller's
-    ring, F_p[t]_(t) or F_p(t), and s1, s2 and phi have one grading with
-    some constant off degree 0, else None.
-
-    The degrees come from one solve over the constraints of all three, the
-    basis of s1 as the unknowns 0..r-1 and that of s2 as r..2r-1; phi is
-    homogeneous when each constant c*t^k of phi(e_i) at e'_j has
-    k = d(e'_j) - d(e_i).  A side given as a residue structure is used as it
-    is, and its constraints are read from the structure it was made from.
-    """
-    if phi.ring != ring or not isinstance(ring, (FunctionField, LocalRing)):
-        return None
-    r = phi.source_dim
-    g = _Grading(2 * r)
-    maps = []
-    for s, o in ((s1, 0), (s2, r)):
-        m = g.structure(s.source or s, o, build=s.modulus is None)
-        if m is None:
-            return None
-        maps.append(m)
-    cols = g.columns(phi.cols, [(i,) for i in range(r)], [(r + j,) for j in range(r)], True)
-    if cols is None or not g.tilted:
-        return None
-    degrees = g.solve()
-    if degrees is None:
-        return None
-    d1 = s1 if s1.modulus else _at_one(s1, maps[0], degrees[:r])
-    d2 = s2 if s2.modulus else _at_one(s2, maps[1], degrees[r:])
-    return d1, d2, LinearMap.of_residues(PrimeField(ring.p), r, r, cols)
 
 
 # ---------------------------------------------------------------------------

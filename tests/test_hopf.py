@@ -1102,6 +1102,34 @@ def constant_lift(s):
                        lift_map(s.counit), lift_map(s.antipode))
 
 
+def conversion_off(monkeypatch):
+    """Turn the one conversion to residues off: every check runs over the
+    ring of the structure it is given."""
+    monkeypatch.setattr(hopf, "_at_one", lambda sides, phi=None: None)
+
+
+def counting_conversions(monkeypatch):
+    """Every residue structure the one conversion forms, in order."""
+    real = hopf._at_one
+    formed = []
+
+    def counting(sides, phi=None):
+        out = real(sides, phi)
+        formed.extend(d for d, s in zip(out or (), sides) if d is not s)
+        return out
+
+    monkeypatch.setattr(hopf, "_at_one", counting)
+    return formed
+
+
+def descends(h):
+    """Whether the one conversion reads h over F_p[t]_(t) or F_p(t) as a
+    t-free structure: every constant c*t^0, the residues of c/1 in F_p."""
+    s = as_structure(h)
+    d = hopf.checked_structure(s)
+    return d is not s and d.degrees is None and not isinstance(s.ring, PrimeField)
+
+
 class TestDescentScope:
     """Which structures verify_axioms and exhibit_isomorphism check over F_p."""
 
@@ -1112,14 +1140,15 @@ class TestDescentScope:
         # A t-free structure over F_p(t) comes down to the same tensors over F_p,
         # which is how the catalog builds the entry over the special fiber.
         s = as_structure(catalog_build(name, p, k, Fiber.GENERIC).hopf)
-        d = hopf._over_prime_field(s)
+        d = hopf.checked_structure(s)
         special = as_structure(catalog_build(name, p, k, Fiber.SPECIAL).hopf)
-        assert d.ring == PrimeField(p) and d.labels == s.labels
+        assert d.ring == PrimeField(p) and d.labels == s.labels and descends(s)
         assert (d.mult, d.comul, d.counit, d.antipode, d.unit) == (
-            special.mult, special.comul, special.counit, special.antipode, special.unit)
-        assert hopf._over_prime_field(constant_lift(s)).comul == special.comul
+            special.mult.residues(), special.comul.residues(), special.counit.residues(),
+            special.antipode.residues(), residues_of(special.unit))
+        assert hopf.checked_structure(constant_lift(s)).comul == special.comul.residues()
         # Over F_p there is nothing to descend.
-        assert hopf._over_prime_field(special) is None
+        assert not descends(special)
 
     @pytest.mark.parametrize("name,k", [("alpha_p", 1), ("mu", 2), ("constant_cyclic", 2)])
     def test_dual_checks_on_the_generic_fiber_run_over_the_prime_field(
@@ -1139,10 +1168,10 @@ class TestDescentScope:
         out = capsys.readouterr().out
         assert {ring for _, ring in counts} == {"PrimeField"}
         assert counts[("square_mult", "PrimeField")] > 0
-        # Negative control: with descent off the same checks run over F_3(t)
-        # and print the same bytes.
+        # Negative control: with the conversion off the same checks run over
+        # F_3(t) and print the same bytes.
         counts.clear()
-        monkeypatch.setattr(hopf, "_over_prime_field", lambda s: None)
+        conversion_off(monkeypatch)
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == out
         assert {ring for _, ring in counts} == {"FunctionField"}
@@ -1150,11 +1179,11 @@ class TestDescentScope:
     def test_the_deformation_and_its_mutations_do_not_descend(self):
         h = deformation_hopf(3)
         s = as_structure(h)
-        assert hopf._over_prime_field(s) is None
+        assert not descends(s)
         for fiber in Fiber:
             fibered = as_structure(specialize_hopf(h, fiber))
-            assert hopf._over_prime_field(fibered) is None
-        assert hopf._over_prime_field(as_structure(deformation_hopf(3, "corrupt-antipode"))) is None
+            assert not descends(fibered)
+        assert not descends(as_structure(deformation_hopf(3, "corrupt-antipode")))
         # The two comultiplication mutations admit no algebra map, so their
         # broken generator images go straight into the tensor.
         A, sq = h.algebra, h.square
@@ -1169,7 +1198,7 @@ class TestDescentScope:
             cols[A.index(exps)] = image.vec()
             comul = LinearMap(s.ring, s.rank, s.rank * s.rank, cols)
             m = HopfAlgebra(s.ring, s.labels, s.mult, s.unit, comul, s.counit, s.antipode)
-            assert hopf._over_prime_field(m) is None
+            assert not descends(m)
 
     @pytest.mark.parametrize("which", ["mult", "comul", "counit", "antipode", "unit"])
     @pytest.mark.parametrize("scalar", ["t", "1/t", "1/(1+t)", "local 1/(1+t)"])
@@ -1192,8 +1221,8 @@ class TestDescentScope:
             maps[which] = LinearMap(s.ring, m.source_dim, m.target_dim, cols)
         bumped = HopfAlgebra(s.ring, s.labels, maps["mult"], unit, maps["comul"],
                              maps["counit"], maps["antipode"])
-        assert hopf._over_prime_field(bumped) is None
-        assert hopf._over_prime_field(s) is not None
+        assert not descends(bumped)
+        assert descends(s)
 
     def test_the_scan_stops_at_the_first_t_scalar(self):
         class Untouchable:
@@ -1205,13 +1234,18 @@ class TestDescentScope:
             def __getattr__(self, name):
                 raise AssertionError(f"scan read .{name} past the first t-scalar")
 
+        # The one conversion reads the unit first, then the counit, the
+        # antipode, the comultiplication and the multiplication: 1 + t in the
+        # unit is not a monomial, and nothing after it is read.
         s = as_structure(catalog_build("mu", 2, 1, Fiber.GENERIC).hopf)
         t = s.ring.t()
         mult = LinearMap(s.ring, s.mult.source_dim, s.mult.target_dim,
-                         [{0: t}] + [dict(col) for col in s.mult.cols[1:]])
+                         [{0: Untouchable()}] + [dict(col) for col in s.mult.cols[1:]])
         antipode = LinearMap(s.ring, s.rank, s.rank, [{0: Untouchable()}, {1: Untouchable()}])
-        h = HopfAlgebra(s.ring, s.labels, mult, {1: Untouchable()}, s.comul, s.counit, antipode)
-        assert hopf._over_prime_field(h) is None
+        counit = LinearMap(s.ring, s.rank, 1, [{0: Untouchable()}, {}])
+        comul = LinearMap(s.ring, s.rank, s.rank * s.rank, [{0: Untouchable()}, {}])
+        h = HopfAlgebra(s.ring, s.labels, mult, {0: s.ring.one() + t}, comul, counit, antipode)
+        assert not descends(h)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_function_field_against_local_ring_still_fails_base_rings_agree(self, p):
@@ -1267,17 +1301,17 @@ class TestDescentOracle:
         return out
 
     def test_descent_changes_no_report(self, monkeypatch):
-        real = hopf._over_prime_field
+        real = hopf._at_one
         descended = {True: 0, False: 0}
 
-        def counting(s):
-            d = real(s)
-            descended[d is not None] += 1
-            return d
+        def counting(sides, phi=None):
+            out = real(sides, phi)
+            descended[out is not None] += 1
+            return out
 
-        monkeypatch.setattr(hopf, "_over_prime_field", counting)
+        monkeypatch.setattr(hopf, "_at_one", counting)
         on = self.reports()
-        monkeypatch.setattr(hopf, "_over_prime_field", lambda s: None)
+        conversion_off(monkeypatch)
         off = self.reports()
         assert on == off
         # Both sides of the switch are exercised, and the reports fail in
@@ -1311,9 +1345,9 @@ class TestResidueKernels:
         if p == 3:
             structures.append(TestKernelsAgainstDenseReference.sweedler())
         for s in structures:
-            d = hopf._residue_form(s)
+            d = hopf.checked_structure(s)
             assert (d.modulus, d.source, d.ring, d.labels) == (p, s, s.ring, s.labels)
-            assert d.unit == residues_of(s.unit) and hopf._residue_form(d) is d
+            assert d.unit == residues_of(s.unit) and hopf.checked_structure(d) is d
             r = s.rank
             rng = random.Random(p)
             singles = self.vectors(rng, s.ring, r, 6, 0.5) + [{i: s.ring.one()} for i in range(r)]
@@ -1392,13 +1426,12 @@ class TestResidueOracle:
         return out
 
     def test_residues_change_no_report(self, monkeypatch):
-        real = hopf._residues
-        converted = []
-        monkeypatch.setattr(hopf, "_residues",
-                            lambda s, source: converted.append(source) or real(s, source))
+        formed = counting_conversions(monkeypatch)
         on = self.reports()
-        # Off: the checkers run on the FpElement structure with the element loops.
-        monkeypatch.setattr(hopf, "_residues", lambda s, source: s)
+        converted = [d.source for d in formed]
+        # Off: the checkers run on the structures as given, with the element
+        # loops.
+        conversion_off(monkeypatch)
         off = self.reports()
         assert on == off
         assert len(converted) > 500
@@ -1415,18 +1448,16 @@ class TestDescentPerCommand:
         # mu, the constant entry, the dual and the double dual: four
         # structures, each descended to F_5 once and converted once.
         descended, converted = [], []
-        real_descend, real_convert = hopf._over_prime_field, hopf._residues
+        real = hopf._at_one
 
-        def descend(s):
-            descended.append(s)
-            return real_descend(s)
+        def convert(sides, phi=None):
+            descended.extend(s for s in sides if s.modulus is None)
+            out = real(sides, phi)
+            converted.extend(d.source for d, s in zip(out or (), sides)
+                             if d is not s and d.degrees is None)
+            return out
 
-        def convert(s, source):
-            converted.append(source)
-            return real_convert(s, source)
-
-        monkeypatch.setattr(hopf, "_over_prime_field", descend)
-        monkeypatch.setattr(hopf, "_residues", convert)
+        monkeypatch.setattr(hopf, "_at_one", convert)
         argv = ["--format", "json", "dual", "--p", "5", "--fiber", "generic", "--power", "2",
                 "--name", "mu"]
         assert cli.main(argv) == 0
@@ -1439,15 +1470,15 @@ class TestDescentPerCommand:
 
     def test_verify_converts_each_structure_once(self, capsys, monkeypatch):
         # The special fiber is checked twice (its axioms and its splitting)
-        # and converted once; so are the catalog objects the steps compare with.
-        real = hopf._residues
-        converted = []
-        monkeypatch.setattr(hopf, "_residues",
-                            lambda s, source: converted.append(source) or real(s, source))
+        # and converted once; so are the catalog objects the steps compare
+        # with, and the four structures converted at t = 1.
+        formed = counting_conversions(monkeypatch)
         assert cli.main(["--format", "json", "verify", "--p", "3"]) == 0
         capsys.readouterr()
-        assert len(converted) == len({id(s) for s in converted}) == 5
-        assert [s.labels[1] for s in converted] == ["y", "x", "1⊗x", "z", "d1"]
+        converted = [d.source for d in formed]
+        assert len(converted) == len({id(s) for s in converted}) == 9
+        assert [d.source.labels[1] for d in formed if d.degrees is None] == [
+            "y", "x", "1⊗x", "z", "d1"]
 
 
 class TestResidueCopiesDoNotOutliveTheCheck:
@@ -1492,6 +1523,72 @@ class TestResidueCopiesDoNotOutliveTheCheck:
         # The walk reaches the fields of the structure itself.
         ids = {id(obj) for obj in after}
         assert {id(s), id(s.mult), id(s.unit), id(s.comul), id(s.antipode)} <= ids
+
+
+class TestOneConversion:
+    """One conversion (_at_one) takes structures over F_p, t-free ones and
+    graded ones to int residues."""
+
+    NAMES = [("alpha_p", 1), ("mu", 1), ("mu", 2), ("constant_cyclic", 1), ("constant_cyclic", 2)]
+
+    @classmethod
+    def t_free(cls, p):
+        """(structure, its special-fiber entry): each catalog entry on the
+        generic fiber, the same lifted to F_p[t]_(t), and the transposes of
+        both, with the entry or its transpose."""
+        out = []
+        for name, k in cls.NAMES:
+            s = as_structure(catalog_build(name, p, k, Fiber.GENERIC).hopf)
+            special = as_structure(catalog_build(name, p, k, Fiber.SPECIAL).hopf)
+            for g in (s, constant_lift(s)):
+                out += [(g, special), (hopf._transpose(g), hopf._transpose(special))]
+        return out
+
+    @pytest.mark.parametrize("p", PRIMES + [5])
+    def test_t_free_structures_read_as_their_special_entries(self, p):
+        # alpha_p, mu and constant_cyclic at p = 2, 3 and 5 with their
+        # transposes (30 structures), and their lifts to F_p[t]_(t).
+        structures = self.t_free(p)
+        assert len(structures) == 4 * len(self.NAMES)
+        for s, special in structures:
+            d = hopf.checked_structure(s)
+            assert (d.modulus, d.ring, d.source, d.degrees, d.labels) == (
+                p, PrimeField(p), s, None, s.labels)
+            assert (d.mult, d.comul, d.counit, d.antipode) == (
+                special.mult.residues(), special.comul.residues(), special.counit.residues(),
+                special.antipode.residues())
+            assert d.unit == residues_of(special.unit)
+            assert hopf.grading(s) is None
+
+    def test_a_t_free_read_forms_no_constraint(self, capsys, monkeypatch):
+        structures = self.t_free(5)
+        calls = []
+        real_terms, real_settle = hopf._net_terms, hopf._Grading._settle
+
+        def net_terms(target, source):
+            calls.append("_net_terms")
+            return real_terms(target, source)
+
+        def settle(g, terms, k, waiting):
+            calls.append("_settle")
+            return real_settle(g, terms, k, waiting)
+
+        monkeypatch.setattr(hopf, "_net_terms", net_terms)
+        monkeypatch.setattr(hopf._Grading, "_settle", settle)
+        formed = counting_conversions(monkeypatch)
+        for s, _ in structures:
+            assert hopf.checked_structure(s).degrees is None
+        # The dual command converts four t-free structures, two of them in
+        # isomorphism checks against a side already on residues.
+        argv = ["--format", "json", "dual", "--p", "5", "--fiber", "generic", "--power", "2",
+                "--name", "mu"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(formed) == 4 * len(self.NAMES) + 4
+        assert calls == []
+        # Negative control: a graded structure records its constraints.
+        assert hopf.checked_structure(deformation_hopf(3)).degrees is not None
+        assert {"_net_terms", "_settle"} <= set(calls)
 
 
 def exponent_degrees(h):
@@ -1587,16 +1684,22 @@ class TestGrading:
 
 
 def graded_path_off(monkeypatch):
-    monkeypatch.setattr(hopf, "_graded_residues", lambda s: None)
-    monkeypatch.setattr(hopf, "_iso_graded_form", lambda s1, s2, phi, ring: None)
+    """The checks at t = 1 off: the one conversion is off."""
+    conversion_off(monkeypatch)
 
 
 def counting_formed(monkeypatch):
     """The sources of every residue structure formed at t = 1, in order."""
     real = hopf._at_one
     formed = []
-    monkeypatch.setattr(hopf, "_at_one",
-                        lambda s, maps, degrees: formed.append(s) or real(s, maps, degrees))
+
+    def counting(sides, phi=None):
+        out = real(sides, phi)
+        formed.extend(s for d, s in zip(out or (), sides)
+                      if d is not s and d.degrees is not None)
+        return out
+
+    monkeypatch.setattr(hopf, "_at_one", counting)
     return formed
 
 
