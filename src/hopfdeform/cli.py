@@ -322,7 +322,7 @@ def run_dual(args):
     partner, dual, phi = catalog_dual(entry)
     reports = {
         f"dual-is-{partner.name}": exhibit_isomorphism(partner.checked, dual, phi),
-        "double-dual-canonical": double_dual_report(entry.checked),
+        "double-dual-canonical": double_dual_report(entry.checked, dual),
     }
     checks = [{"name": name, "passed": r.ok, "detail": "" if r.ok else r.summary()}
               for name, r in reports.items()]

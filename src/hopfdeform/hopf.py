@@ -25,6 +25,24 @@ transpose is commutative exactly when the checked structure is
 cocommutative; a structure that is not, like functions on a nonabelian
 group, is checked on its own side.
 
+On a presentation the identities of algebra maps are decided on its
+generators g (Waterhouse, Introduction to Affine Group Schemes, ch. 1-2).
+HopfPresentation.structure tabulates the product from normal forms, which
+is associative and commutative with unit 1 because each relation rewrites
+a pure power g_i^(b_i) and the relations form no cycle, so the leading
+terms are pairwise coprime; Delta, eps and S come from algebra_hom, which
+checks the relations.  The structure
+carries the basis indices of the g (HopfAlgebra.generators, read by
+_generators, through source on a residue structure).  The elements on
+which two algebra maps agree form a subalgebra, and so, in an associative
+algebra, do the a for which a multiplicativity law holds at (a, e_j) for
+every j; a subalgebra that holds every g is everything.  So verify_axioms
+and exhibit_isomorphism check such an identity on the generator columns,
+or on the pairs (g, e_j), once the premises that make both sides algebra
+maps have passed.  An identity that fails on the generators, and every
+identity of a raw HopfAlgebra, takes the basis scan, whose report and
+first offender are therefore the ones given.
+
 A structure leaves its ring for int residues by one conversion (_at_one),
 which checked_structure applies once; a caller that checks a structure
 twice passes the result down.  Over F_p the residues are copied.  Over
@@ -57,6 +75,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .algebra import (
     AlgebraElement,
@@ -112,13 +131,17 @@ class HopfAlgebra:
     the same residues with source None, and every other structure has
     modulus and source None.  A residue structure read with some constant
     c*t^k, k != 0, also holds the grading of its source in degrees; every
-    other structure has degrees None.  The products vec_mult and
+    other structure has degrees None.  The tensor form of a presentation
+    (HopfPresentation.structure) holds the basis indices of its algebra
+    generators in generators; every other structure has generators None,
+    and the tag of a residue structure is read off its source
+    (_generators).  The products vec_mult and
     square_mult run the same loop on both and drop zeros once per result
     (_nonzero).
     """
 
     __slots__ = ("ring", "labels", "mult", "unit", "comul", "counit", "antipode", "_by_left",
-                 "source", "degrees")
+                 "source", "degrees", "generators")
 
     def __init__(self, ring, labels, mult, unit, comul, counit, antipode):
         r = len(labels)
@@ -139,6 +162,7 @@ class HopfAlgebra:
         self.antipode = antipode
         self.source = None
         self.degrees = None
+        self.generators = None
         # _by_left[i][j] is the product column of e_i*e_j, for the nonempty ones.
         self._by_left = [{} for _ in range(r)]
         for ij, col in enumerate(mult.cols):
@@ -259,18 +283,33 @@ class HopfPresentation:
         return self.algebra.from_vec(self.antipode.apply(elem.vec()))
 
     def structure(self) -> HopfAlgebra:
+        """The tensor form on the monomial basis, built once.
+
+        The product of two basis monomials g^a and g^b is the normal form
+        of g^(a+b) (MonomialQuotientAlgebra._reduce), so each column of the
+        multiplication is read off the normal form with no ring product.
+        That product is associative and commutative with unit 1: each rule
+        rewrites a pure power g_i^(b_i), and the rules form no cycle
+        (MonomialQuotientAlgebra checks this), so under a lex order the
+        g_i^(b_i) are the leading terms; they are pairwise coprime, so the
+        rules are a Groebner basis of the ideal they generate.  Delta, eps
+        and S come from algebra_hom, which checks the relations.  The structure is tagged with the basis indices of the
+        generators (HopfAlgebra.generators), on which verify_axioms and
+        exhibit_isomorphism decide the identities of algebra maps.
+        """
         if self._structure is None:
             A = self.algebra
-            basis = [A.monomial(e) for e in A.iter_basis()]
-            cols = []
-            for a in basis:
-                for b in basis:
-                    cols.append((a * b).vec())
+            basis = list(A.iter_basis())
+            index, normal_form = A.index, A._reduce
+            cols = [{index(e): c for e, c in normal_form(tuple(map(operator.add, a, b))).items()}
+                    for a in basis for b in basis]
             mult = LinearMap(A.ring, A.rank * A.rank, A.rank, cols)
-            labels = tuple(A.monomial_str(e) for e in A.iter_basis())
-            self._structure = HopfAlgebra(
-                A.ring, labels, mult, A.one().vec(), self.comul, self.counit, self.antipode
-            )
+            labels = tuple(A.monomial_str(e) for e in basis)
+            s = HopfAlgebra(A.ring, labels, mult, A.one().vec(), self.comul, self.counit,
+                            self.antipode)
+            n = len(A.gens)
+            s.generators = tuple(index([int(j == i) for j in range(n)]) for i in range(n))
+            self._structure = s
         return self._structure
 
     def __repr__(self):
@@ -368,39 +407,77 @@ def verify_axioms(h) -> AxiomReport:
     only when it fails there.  The pair scan of _first_pair is complete only
     on a commutative side; the transpose's multiplication is Delta^T, so the
     transpose is taken only for a cocommutative s.
+
+    On a presentation (_generators; module docstring) the identities are
+    decided on its generators g, and an identity that fails there is
+    scanned over the basis for its first offender.  The product is
+    associative with unit 1, so the a with a law at (a, e_j) for every j
+    form a subalgebra: commutativity, "counit is an algebra map" and, when
+    s is the sparser side, the bialgebra law are checked on the pairs
+    (g, e_j) (the transpose keeps its pair scan).  Coassociativity, the
+    counit identities and the antipode identities each compare two algebra
+    maps, which agree on a subalgebra, so they are checked on the generator
+    columns once their premises have passed: the bialgebra law for
+    coassociativity; it and "counit is an algebra map" for the counit
+    identities; those, commutativity, S(1) = 1 and S(g e_j) = S(g) S(e_j)
+    for every g and e_j (so S is an algebra map) for the antipode.
     """
     s = checked_structure(h)
     r, p = s.rank, s.modulus
     m, unit, d, eps = s.mult_col, s.unit, s.comul.cols, s.counit.cols
     one = s.ring.one() if p is None else 1
+    gens = _generators(s)
     report = AxiomReport()
 
     def record(name, offender, required=True):
         report.checks.append(AxiomCheck(name, offender is None, required, offender))
+        return offender is None
+
+    def given(*premises):
+        """gens when every premise holds, else None: the basis scan."""
+        return gens if all(premises) else None
 
     flip_asymmetric_at = _first_label(s, lambda k: _is_flip_asymmetric(d[k], r))
     transposed = _sparser_transpose(s) if flip_asymmetric_at is None else None
 
-    def on_sparser_side(offender):
-        if transposed is not None and offender(transposed) is None:
-            return None
-        return offender(s)
+    def on_sparser_side(offender, gens=None):
+        """offender(s, gens), or offender decided on the transpose first
+        when that side is sparser, which keeps the basis scan."""
+        if transposed is None:
+            return offender(s, gens)
+        return None if offender(transposed) is None else offender(s)
 
-    record("multiplication is commutative", _first_pair(s, lambda i, j: m(i, j) != m(j, i)))
-    record("comultiplication is an algebra map",
-           "1" if s.comul.apply(unit) != _outer(unit, unit, r, p) else
-           on_sparser_side(_comul_multiplicative_at))
-    record("counit is an algebra map",
-           "1" if s.counit.apply(unit) != {0: one} else
-           _first_pair(s, lambda i, j: s.counit.apply(m(i, j)) != _outer(eps[i], eps[j], 1, p)))
+    commutative = record("multiplication is commutative",
+                         _first_pair(s, lambda i, j: m(i, j) != m(j, i), gens))
+    bialgebra = record("comultiplication is an algebra map",
+                       "1" if s.comul.apply(unit) != _outer(unit, unit, r, p) else
+                       on_sparser_side(_comul_multiplicative_at, gens))
+    counit_multiplicative = record(
+        "counit is an algebra map",
+        "1" if s.counit.apply(unit) != {0: one} else
+        _first_pair(s, lambda i, j: s.counit.apply(m(i, j)) != _outer(eps[i], eps[j], 1, p), gens))
     record("comultiplication is coassociative", _first_label(
-        s, lambda k: tensor_apply_left(s.comul, r, d[k]) != tensor_apply_right(s.comul, d[k])))
+        s, lambda k: tensor_apply_left(s.comul, r, d[k]) != tensor_apply_right(s.comul, d[k]),
+        given(bialgebra)))
     record("counit identities hold", _first_label(
         s, lambda k: tensor_apply_left(s.counit, r, d[k]) != {k: one}
-        or tensor_apply_right(s.counit, d[k]) != {k: one}))
-    record("antipode identities hold", on_sparser_side(_antipode_at))
+        or tensor_apply_right(s.counit, d[k]) != {k: one},
+        given(bialgebra, counit_multiplicative)))
+    # The two antipode composites are algebra maps once S is one.
+    antipode_gens = given(commutative, bialgebra, counit_multiplicative)
+    if antipode_gens is not None and not _antipode_multiplicative(s, antipode_gens):
+        antipode_gens = None
+    record("antipode identities hold", on_sparser_side(_antipode_at) if antipode_gens is None
+           else _antipode_at(s, antipode_gens))
     record("comultiplication is cocommutative", flip_asymmetric_at, required=False)
     return report
+
+
+def _generators(s: HopfAlgebra) -> tuple | None:
+    """The basis indices of the generators of the presentation whose tensor
+    form s is, or whose tensor form s holds the residues of (source); None
+    for every other structure, and the checks then scan the basis."""
+    return (s.source or s).generators
 
 
 def _sparser_transpose(s: HopfAlgebra) -> HopfAlgebra | None:
@@ -416,15 +493,26 @@ def _sparser_transpose(s: HopfAlgebra) -> HopfAlgebra | None:
     return _transpose(s) if nonzeros(s.comul) > nonzeros(s.mult) else None
 
 
-def _comul_multiplicative_at(s: HopfAlgebra) -> str | None:
-    """The first pair i <= j with Delta(e_i e_j) != Delta(e_i) Delta(e_j)."""
+def _comul_multiplicative_at(s: HopfAlgebra, gens: tuple | None = None) -> str | None:
+    """The first pair i <= j with Delta(e_i e_j) != Delta(e_i) Delta(e_j),
+    decided on the pairs (g, e_j) of the generators gens first when given."""
     m, d = s.mult_col, s.comul.cols
-    return _first_pair(s, lambda i, j: s.comul.apply(m(i, j)) != s.square_mult(d[i], d[j]))
+    return _first_pair(s, lambda i, j: s.comul.apply(m(i, j)) != s.square_mult(d[i], d[j]), gens)
 
 
-def _antipode_at(s: HopfAlgebra) -> str | None:
+def _antipode_multiplicative(s: HopfAlgebra, gens: tuple) -> bool:
+    """Whether S(1) = 1 and S(g e_j) = S(g) S(e_j) for every generator g in
+    gens and every e_j: then S is an algebra map, as the g generate H."""
+    S, unit = s.antipode, s.unit
+    return S.apply(unit) == unit and not any(
+        S.apply(s.mult_col(g, j)) != s.vec_mult(S.cols[g], S.cols[j])
+        for g in gens for j in range(s.rank))
+
+
+def _antipode_at(s: HopfAlgebra, gens: tuple | None = None) -> str | None:
     """The first e_k on which m(S (x) id)Delta or m(id (x) S)Delta differs
-    from u(eps(e_k))."""
+    from u(eps(e_k)), decided on the generator columns gens first when
+    given."""
     r, p, unit = s.rank, s.modulus, s.unit
     d, eps, S = s.comul.cols, s.counit.cols, s.antipode.cols
 
@@ -435,7 +523,7 @@ def _antipode_at(s: HopfAlgebra) -> str | None:
         return (_sum((s.vec_mult(S[i], a) for i, a in rows.items()), p) != expected
                 or _sum((s.vec_mult(b, S[j]) for j, b in cols.items()), p) != expected)
 
-    return _first_label(s, differs)
+    return _first_label(s, differs, gens)
 
 
 def checked_structure(h) -> HopfAlgebra:
@@ -589,6 +677,27 @@ class _Grading:
                    for cols, sources, targets in parts
                    for src, col in zip(sources, cols) for i in col)
 
+    def _replay(self, parts, degrees, o: int) -> bool:
+        """Record the constraints of parts (residue columns, as in
+        _degree_zero), each constant taken as c*t^k with k = sum d(target) -
+        sum d(source) for the degrees d of the unknowns o, o + 1, ...: the
+        constraints, in their order, that the read which gave degrees
+        recorded.  Before the grading tilts, constants that all have k = 0
+        are kept as by _degree_zero.  False on a conflict."""
+        constants = []
+        for cols, sources, targets in parts:
+            for src, col in zip(sources, cols):
+                for i in col:
+                    terms = _net_terms(targets[i], src)
+                    constants.append((terms, sum(a * degrees[v - o] for v, a in terms)))
+        if self.read is not None:
+            if not any(k for _, k in constants):
+                return self._degree_zero(parts)
+            # The first constant with k != 0 tilts the grading (see columns).
+            read, self.read = self.read, None
+            self._degree_zero(read)
+        return all(self._settle(terms, k, self.waiting) for terms, k in constants)
+
     def columns(self, cols, sources, targets) -> list | None:
         """cols at t = 1, each constant c*t^k as the residue c, its
         constraint recorded once tilted; None at the first constant that is
@@ -623,16 +732,18 @@ class _Grading:
         multiplication of s at t = 1, in that order (a stray term like
         corrupt-antipode's is met early), its basis taken as the unknowns
         o, ..., o + rank - 1; None as in columns.  A residue structure s is
-        read for its constraints alone (empty list): those of its source
-        when it holds degrees, else its own at k = 0."""
-        if s.modulus is not None and s.degrees is not None:
-            return self.structure(s.source, o) and []
+        read for its constraints alone (empty list), from its own residue
+        columns: each nonzero residue stands for c*t^k with, when s holds
+        degrees, k = degrees[target] - degrees[source], the constraint its
+        source gave, and k = 0 otherwise."""
         basis = range(o, o + s.rank)
         ones = [(v,) for v in basis]
         pairs = list(itertools.product(basis, repeat=2))
         parts = (([s.unit], [()], ones), (s.counit.cols, ones, [()]),
                  (s.antipode.cols, ones, ones), (s.comul.cols, ones, pairs),
                  (s.mult.cols, pairs, ones))
+        if s.modulus is not None and s.degrees is not None:
+            return [] if self._replay(parts, s.degrees, o) else None
         if s.modulus is not None:
             return [] if self._degree_zero(parts) else None
         out = []
@@ -672,19 +783,32 @@ def _net_terms(target: tuple, source: tuple) -> tuple:
     return tuple((v, a) for v, a in acc.items() if a)
 
 
-def _first_label(s: HopfAlgebra, differs) -> str | None:
-    """Label of the first basis element k with differs(k), or None."""
+def _first_label(s: HopfAlgebra, differs, gens: tuple | None = None) -> str | None:
+    """Label of the first basis element k with differs(k), or None.
+
+    With generators gens (basis indices), None when differs(g) holds for
+    no g in gens, and the scan otherwise: the caller passes gens only for
+    an identity of two algebra maps, which the generators decide.
+    """
+    if gens is not None and not any(map(differs, gens)):
+        return None
     return next((s.labels[k] for k in range(s.rank) if differs(k)), None)
 
 
-def _first_pair(s: HopfAlgebra, differs) -> str | None:
+def _first_pair(s: HopfAlgebra, differs, gens: tuple | None = None) -> str | None:
     """Labels of the first basis pair i <= j with differs(i, j), or None.
 
     The scan covers every pair only for an identity symmetric in i and j,
     as the pair identities are on a commutative side: verify_axioms checks
     the commutativity of s, and transposes s only when it is cocommutative.
+    With generators gens, None when differs(g, j) holds for no g in gens
+    and no j, and the scan otherwise: the caller passes gens only for a law
+    whose solutions a, those with the law at (a, e_j) for every j, form a
+    subalgebra of the associative algebra s, so the generators decide it.
     """
     r = s.rank
+    if gens is not None and not any(differs(g, j) for g in gens for j in range(r)):
+        return None
     return next((f"{s.labels[i]}, {s.labels[j]}"
                  for i in range(r) for j in range(i, r) if differs(i, j)), None)
 
@@ -1033,6 +1157,15 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
     grading of the three with phi of degree 0.  The report is the one of
     the ring check.  The invertibility of phi is always decided over the
     caller's ring.
+
+    Between two presentations (_generators; module docstring), once
+    phi(1) = 1, "multiplication preserved" is checked on the pairs
+    (g, e_j) for the generators g of h1: the a with phi(a e_j) =
+    phi(a) phi(e_j) for every j form a subalgebra.  Once it holds, phi is an
+    algebra map, and so are both sides of the counit, comultiplication and
+    antipode checks (the eps, Delta and S of each side come from
+    algebra_hom), which are then checked on the generator columns.  A check
+    that fails there is scanned over the basis for its first offender.
     """
     s1, s2 = as_structure(h1), as_structure(h2)
     # A residue structure stands for the structure it was made from.
@@ -1063,18 +1196,25 @@ def exhibit_isomorphism(h1, h2, phi: LinearMap) -> IsoReport:
     # Convert only now: the ring check and the invertibility detail above
     # name the rings the caller passed.
     s1, s2, phi = _at_one((s1, s2), phi) or (o1, o2, phi)
-    record("unit preserved", phi.apply(s1.unit) == s2.unit)
+    # Between two presentations the identities of algebra maps are decided
+    # on the generators of s1 once phi is an algebra map.
+    gens = _generators(s1) if _generators(s2) is not None else None
+    if not record("unit preserved", phi.apply(s1.unit) == s2.unit):
+        gens = None
+    offender = _first_pair(
+        s1, lambda i, j: phi.apply(s1.mult_col(i, j)) != s2.vec_mult(phi.cols[i], phi.cols[j]),
+        gens)
+    if not record("multiplication preserved", offender is None, offender):
+        gens = None
     checks = (
-        ("multiplication preserved", _first_pair(
-            s1, lambda i, j: phi.apply(s1.mult_col(i, j)) != s2.vec_mult(phi.cols[i], phi.cols[j]))),
-        ("counit preserved", _first_label(
-            s1, lambda k: s2.counit.apply(phi.cols[k]) != s1.counit.cols[k])),
-        ("comultiplication preserved", _first_label(
-            s1, lambda k: s2.comul.apply(phi.cols[k]) != tensor_apply(phi, phi, s1.comul.cols[k]))),
-        ("antipode preserved", _first_label(
-            s1, lambda k: s2.antipode.apply(phi.cols[k]) != phi.apply(s1.antipode.cols[k]))),
+        ("counit preserved", lambda k: s2.counit.apply(phi.cols[k]) != s1.counit.cols[k]),
+        ("comultiplication preserved",
+         lambda k: s2.comul.apply(phi.cols[k]) != tensor_apply(phi, phi, s1.comul.cols[k])),
+        ("antipode preserved",
+         lambda k: s2.antipode.apply(phi.cols[k]) != phi.apply(s1.antipode.cols[k])),
     )
-    for name, offender in checks:
+    for name, differs in checks:
+        offender = _first_label(s1, differs, gens)
         record(name, offender is None, offender)
     return report
 
@@ -1367,18 +1507,20 @@ def iso_mu_to_dual_constant(p: int, k: int, fiber: Fiber):
     return mu.hopf, dual, phi
 
 
-def double_dual_report(h) -> IsoReport:
+def double_dual_report(h, dual: HopfAlgebra | None = None) -> IsoReport:
     """Canonical evaluation map into the double dual, as an identity matrix.
 
     The guard runs once: the dual's multiplication is the transpose of the
     comultiplication of h, so the dual is commutative exactly when h is
     cocommutative, and cocommutative exactly when h is commutative.  A
     residue structure h (CatalogEntry.checked) is checked as it is, and the
-    double dual is built from the structure it was made from.
+    double dual is built from the structure it was made from.  dual is
+    cartier_dual of that structure when the caller has it already (the
+    dual of catalog_dual), and is then transposed without a second guard.
     """
     s = as_structure(h)
     source = s.source or s
-    dd = _transpose(cartier_dual(source))
+    dd = _transpose(cartier_dual(source) if dual is None else dual)
     return exhibit_isomorphism(s, dd, LinearMap.identity(source.ring, source.rank))
 
 

@@ -57,6 +57,7 @@ from hopfdeform.algebra import (
     AlgebraElement,
     LinearMap,
     MonomialQuotientAlgebra,
+    algebra_hom,
     in_span,
     row_reduce,
     tensor_apply_left,
@@ -2193,3 +2194,284 @@ class TestSparserSideWork:
         ids = {id(obj) for root in (h, checked) for obj in reach(root)}
         transposed = {id(obj) for obj in reach(taken[0])} - {id(obj) for obj in reach(checked)}
         assert id(taken[0]) in transposed and not ids & transposed
+
+
+def generators_off(monkeypatch):
+    """Turn the generator tag off: every check scans the basis."""
+    monkeypatch.setattr(hopf, "_generators", lambda s: None)
+
+
+def counting_tagged(monkeypatch):
+    """The structures whose generator tag a check read, in order."""
+    real = hopf._generators
+    tagged = []
+
+    def counting(s):
+        gens = real(s)
+        if gens is not None:
+            tagged.append(s)
+        return gens
+
+    monkeypatch.setattr(hopf, "_generators", counting)
+    return tagged
+
+
+def pipeline_presentations(p):
+    """The deformation, both fibers, the quotient by x, and mu and alpha_p on
+    both fibers."""
+    h = deformation_hopf(p)
+    out = [h, specialize_hopf(h, Fiber.SPECIAL), specialize_hopf(h, Fiber.GENERIC),
+           hopf_quotient(h, [h.algebra.gen(0)])]
+    out += [catalog_build(name, p, k, fiber).hopf for name, k in (("mu", 1), ("mu", 2),
+                                                                 ("alpha_p", 1))
+            for fiber in Fiber]
+    return out
+
+
+def broken_presentations(p):
+    """Presentations on F_p[x,y]/(x^p, y^p) whose generator images keep the
+    relations (hopf_presentation accepts them) and break one law: name ->
+    (presentation, the check of that law)."""
+    F = PrimeField(p)
+    A = MonomialQuotientAlgebra(F, ("x", "y"), (p, p), [{}, {}])
+    sq = A.tensor(A)
+    one, x, y = A.one(), A.gen(0), A.gen(1)
+
+    def primitive(g):
+        return sq.pure_tensor(one, g) + sq.pure_tensor(g, one)
+
+    zeros = [F.zero(), F.zero()]
+    return {
+        # 1(x)x + x(x)1 + y(x)x: (Delta (x) id)Delta(x) misses y(x)y(x)x.
+        "coassociativity": (
+            hopf_presentation(A, [primitive(x) + sq.pure_tensor(y, x), primitive(y)], zeros,
+                              [-x, -y]),
+            "comultiplication is coassociative"),
+        # (id (x) eps)Delta(x) = x + y.
+        "counit": (
+            hopf_presentation(A, [primitive(x) + sq.pure_tensor(y, one), primitive(y)], zeros,
+                              [-x, -y]),
+            "counit identities hold"),
+        # S(y) = -y + x*y, an algebra map that is not the antipode.
+        "antipode": (
+            hopf_presentation(A, [primitive(x), primitive(y)], zeros, [-x, -y + x * y]),
+            "antipode identities hold"),
+    }
+
+
+def wrong_splittings(p):
+    """(special fiber, alpha_p x alpha_p, phi) for maps that are not the
+    splitting: an algebra map x -> x + x*y that is not a coalgebra map, the
+    splitting with 1 added to the image of x*y (invertible, not an algebra
+    map), and the generators swapped (a Hopf isomorphism, as a positive
+    control)."""
+    sp = specialize_hopf(deformation_hopf(p), Fiber.SPECIAL)
+    target, phi = iso_special_to_alpha_product(sp)
+    B = target.algebra
+    X, Y = B.gen(0), B.gen(1)
+    cols = [dict(col) for col in phi.cols]
+    k = sp.algebra.index((1, 1))
+    cols[k][0] = B.ring.one()
+    return [(sp, target, algebra_hom(sp.algebra, B, [X + X * Y, Y])),
+            (sp, target, LinearMap(B.ring, phi.source_dim, phi.target_dim, cols)),
+            (sp, target, algebra_hom(sp.algebra, B, [Y, X]))]
+
+
+class TestGeneratorOracle:
+    """On presentations the identities of algebra maps are decided on the
+    generators; with the generator tag off every check scans the basis.
+    Both give the same reports and the same first offenders: on the
+    pipeline's presentations and isomorphisms, on the commands, and on
+    presentations and maps that break one law."""
+
+    @staticmethod
+    def reports(p):
+        out = [verify_axioms(h).to_dict() for h in pipeline_presentations(p)]
+        h = deformation_hopf(p)
+        sp, ge = specialize_hopf(h, Fiber.SPECIAL), specialize_hopf(h, Fiber.GENERIC)
+        target, phi = iso_special_to_alpha_product(sp)
+        mu, psi = iso_mu_to_generic(ge)
+        out += [exhibit_isomorphism(sp, target, phi).to_dict(),
+                exhibit_isomorphism(mu, ge, psi).to_dict(),
+                exhibit_isomorphism(hopf.checked_structure(sp), target, phi).to_dict(),
+                exhibit_isomorphism(mu, hopf.checked_structure(ge), psi).to_dict()]
+        return out
+
+    @staticmethod
+    def commands(capsys, p):
+        argvs = [["verify", "--p", str(p)]]
+        argvs += [["verify", "--p", str(p), "--mutate", m] for m in sorted(MUTATIONS)]
+        argvs += [["quotient", "--p", str(p), "--kill", kill] for kill in ("x", "y", "x,y")]
+        argvs += [["dual", "--p", str(p), "--fiber", fiber, "--power", str(k), "--name", name]
+                  for fiber in ("special", "generic")
+                  for name, k in (("alpha_p", 1), ("mu", 1), ("mu", 2), ("constant_cyclic", 2))]
+        out = []
+        for argv in argvs:
+            for fmt in ("json", "pretty"):
+                code = cli.main(["--format", fmt] + argv)
+                text = capsys.readouterr().out
+                if fmt == "pretty" and argv[0] == "verify":
+                    # Pretty verify prints each step's wall time.
+                    text = "\n".join(line.split("  (")[0] for line in text.splitlines())
+                out.append((code, text))
+        return out
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_pipeline_reports_and_commands_are_unchanged(self, capsys, monkeypatch, p):
+        tagged = counting_tagged(monkeypatch)
+        on = self.reports(p), self.commands(capsys, p)
+        assert len(tagged) >= 10
+        assert all(rep["passed"] for rep in on[0])
+        generators_off(monkeypatch)
+        off = self.reports(p), self.commands(capsys, p)
+        assert on == off
+        # verify ok, the three mutations, quotients by x, y and both, duals.
+        assert [code for code, _ in on[1][::2]] == [0, 1, 1, 1, 0, 1, 0] + [0] * 8
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_broken_presentations_give_the_basis_reports(self, monkeypatch, p):
+        controls = broken_presentations(p)
+        tagged = counting_tagged(monkeypatch)
+        on = {name: verify_axioms(h).to_dict() for name, (h, _) in controls.items()}
+        assert len(tagged) == len(controls)
+        for name, (h, law) in controls.items():
+            failed = {c["name"] for c in on[name]["checks"] if not c["passed"] and c["required"]}
+            assert law in failed and "comultiplication is an algebra map" not in failed, name
+        generators_off(monkeypatch)
+        off = {name: verify_axioms(h).to_dict() for name, (h, _) in controls.items()}
+        assert on == off
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_wrong_splittings_give_the_basis_reports(self, monkeypatch, p):
+        samples = wrong_splittings(p)
+        on = [exhibit_isomorphism(*sample).to_dict() for sample in samples]
+        generators_off(monkeypatch)
+        assert [exhibit_isomorphism(*sample).to_dict() for sample in samples] == on
+        first = [next((c["name"], c["detail"]) for c in rep["checks"] if not c["passed"])
+                 for rep in on[:2]]
+        assert first[0] == ("comultiplication preserved", "x")
+        assert first[1][0] == "multiplication preserved"
+        assert on[2]["passed"]
+
+
+class TestGeneratorWork:
+    """What the generator checks touch, and the premises they rest on."""
+
+    def test_coassociativity_reads_only_the_generator_columns(self, monkeypatch):
+        s = hopf.checked_structure(deformation_hopf(5))
+        real = hopf.tensor_apply_left
+        applied = []
+
+        def counting(f, n, vec):
+            if f is s.comul:
+                applied.append(vec)
+            return real(f, n, vec)
+
+        monkeypatch.setattr(hopf, "tensor_apply_left", counting)
+        assert verify_axioms(s).ok
+        gens = hopf._generators(s)
+        assert [s.labels[g] for g in gens] == ["x", "y"]
+        assert applied == [s.comul.cols[g] for g in gens]
+        # Negative control: the basis scan reads every column.
+        applied.clear()
+        generators_off(monkeypatch)
+        assert verify_axioms(s).ok
+        assert applied == list(s.comul.cols)
+
+    def test_mu_makes_at_most_two_products_per_basis_element(self, monkeypatch):
+        s = hopf.checked_structure(catalog_build("mu", 5, 2, Fiber.GENERIC).hopf)
+        calls = []
+        real = HopfAlgebra.square_mult
+        monkeypatch.setattr(HopfAlgebra, "square_mult",
+                            lambda x, u, v: calls.append(x) or real(x, u, v))
+        assert verify_axioms(s).ok
+        assert 0 < len(calls) <= 2 * s.rank and all(x is s for x in calls)
+        calls.clear()
+        generators_off(monkeypatch)
+        assert verify_axioms(s).ok
+        assert len(calls) == s.rank * (s.rank + 1) // 2
+
+    @pytest.mark.parametrize("p", PRIMES + [5])
+    def test_normal_form_tables_are_the_element_products(self, p):
+        for h in pipeline_presentations(p):
+            A, s = h.algebra, as_structure(h)
+            basis = [A.monomial(e) for e in A.iter_basis()]
+            assert s.mult.cols == tuple((a * b).vec() for a in basis for b in basis)
+            assert s.generators == tuple(next(iter(A.gen(i).vec())) for i in range(len(A.gens)))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_normal_form_tables_are_associative(self, p):
+        # The triple scan the generator checks rest on, for every table.
+        for h in pipeline_presentations(p) + [h for h, _ in broken_presentations(p).values()]:
+            s = hopf.checked_structure(h)
+            e = [{i: 1 if s.modulus else s.ring.one()} for i in range(s.rank)]
+            for i, j, k in itertools.product(range(s.rank), repeat=3):
+                assert (s.vec_mult(s.vec_mult(e[i], e[j]), e[k])
+                        == s.vec_mult(e[i], s.vec_mult(e[j], e[k]))), (h, i, j, k)
+
+    def test_raw_structures_and_transposes_carry_no_tag(self):
+        h = deformation_hopf(3)
+        s = as_structure(h)
+        checked = hopf.checked_structure(h)
+        assert hopf._generators(checked) == s.generators == (3, 1)
+        assert checked.generators is None and checked.source is s
+        assert hopf._transpose(checked).generators is None
+        assert hopf._generators(cartier_dual(s)) is None
+        assert as_structure(catalog_build("constant_cyclic", 3, 2).hopf).generators is None
+        raw = HopfAlgebra(s.ring, s.labels, s.mult, s.unit, s.comul, s.counit, s.antipode)
+        assert raw.generators is None
+
+
+class TestSharedDuals:
+    def test_dual_builds_one_cartier_dual(self, capsys, monkeypatch):
+        calls = []
+        real = hopf.cartier_dual
+        monkeypatch.setattr(hopf, "cartier_dual", lambda h: calls.append(h) or real(h))
+        argv = ["--format", "json", "dual", "--p", "5", "--fiber", "generic", "--power", "2",
+                "--name", "mu"]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "1cfdfbfd147b435044196bd4ccbc29f115d51f3896cb1017be9381d4b4a8afc7")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name,k", [("alpha_p", 1), ("mu", 2), ("constant_cyclic", 2)])
+    def test_the_given_dual_gives_the_rebuilt_report(self, name, k):
+        entry = catalog_build(name, 3, k, Fiber.GENERIC)
+        _, dual, _ = hopf.catalog_dual(entry)
+        assert (double_dual_report(entry.checked, dual).to_dict()
+                == double_dual_report(entry.checked).to_dict())
+
+
+class TestGradedReplay:
+    """A side already on graded residues gives its constraints from its own
+    residue columns, with the degrees it holds."""
+
+    @pytest.mark.parametrize("p", PRIMES + [5])
+    def test_replay_gives_the_ring_read(self, monkeypatch, p):
+        ge = specialize_hopf(deformation_hopf(p), Fiber.GENERIC)
+        checked = hopf.checked_structure(ge)
+        mu, phi = iso_mu_to_generic(ge)
+        read = []
+        real = hopf._Grading.columns
+        monkeypatch.setattr(hopf._Grading, "columns",
+                            lambda g, cols, *rest: read.append(cols) or real(g, cols, *rest))
+        replayed = hopf._at_one((mu, checked), phi)
+        # Only phi is read over the ring; the generic fiber is replayed.
+        assert read == [phi.cols]
+        from_ring = hopf._at_one((mu, as_structure(ge)), phi)
+        assert replayed[1] is checked
+        assert replayed[2].cols == from_ring[2].cols
+        assert checked.degrees == from_ring[1].degrees
+        # Both sides replayed, against both read over the ring.
+        ident = LinearMap.identity(ge.ring, ge.rank)
+        both = hopf._at_one((checked, checked), ident)
+        s = as_structure(ge)
+        from_ring = hopf._at_one((s, s), ident)
+        assert both[:2] == (checked, checked) and both[2].cols == from_ring[2].cols
+        assert from_ring[0].degrees == from_ring[1].degrees == checked.degrees
+        # A map off the grading (y -> t*y) conflicts on both reads.
+        cols = [dict(col) for col in ident.cols]
+        cols[1] = {1: ge.ring.t()}
+        scaled = LinearMap(ge.ring, ge.rank, ge.rank, cols)
+        assert hopf._at_one((checked, checked), scaled) is None
+        assert hopf._at_one((s, s), scaled) is None
