@@ -17,13 +17,17 @@ comul, unit <-> counit, S -> S^T) satisfy the same laws, and two of the
 identities checked here are their own transposes: the bialgebra law
 Delta o m = (m (x) m)(1 (x) tau (x) 1)(Delta (x) Delta) and the antipode
 identities.  A matrix identity holds over any ring exactly when its
-transpose does, so verify_axioms decides each of the two on whichever side
-has the sparser comultiplication, and scans the checked structure itself
-for the first offender only when the law fails.  The pair scan of
-_first_pair (i <= j) is complete only on a commutative side, and the
-transpose is commutative exactly when the checked structure is
-cocommutative; a structure that is not, like functions on a nonabelian
-group, is checked on its own side.
+transpose does.  The pair scan of _first_pair (i <= j) is complete only on
+a commutative side, and the transpose is commutative exactly when the
+checked structure is cocommutative; a structure that is not, like
+functions on a nonabelian group, is checked on its own side.
+
+verify_axioms places each identity by one rule: on the generators of a
+presentation; else, for the two self-transposed laws of a cocommutative
+structure whose comultiplication is the denser tensor, on the transpose
+(_sparser_transpose); else by the basis scan.  A law that fails on the
+generators or on the transpose is scanned on the checked structure itself
+for its first offender.
 
 On a presentation the identities of algebra maps are decided on its
 generators g (Waterhouse, Introduction to Affine Group Schemes, ch. 1-2).
@@ -31,17 +35,17 @@ HopfPresentation.structure tabulates the product from normal forms, which
 is associative and commutative with unit 1 because each relation rewrites
 a pure power g_i^(b_i) and the relations form no cycle, so the leading
 terms are pairwise coprime; Delta, eps and S come from algebra_hom, which
-checks the relations.  The structure
-carries the basis indices of the g (HopfAlgebra.generators, read by
-_generators, through source on a residue structure).  The elements on
-which two algebra maps agree form a subalgebra, and so, in an associative
-algebra, do the a for which a multiplicativity law holds at (a, e_j) for
-every j; a subalgebra that holds every g is everything.  So verify_axioms
-and exhibit_isomorphism check such an identity on the generator columns,
-or on the pairs (g, e_j), once the premises that make both sides algebra
-maps have passed.  An identity that fails on the generators, and every
-identity of a raw HopfAlgebra, takes the basis scan, whose report and
-first offender are therefore the ones given.
+checks the relations.  The structure carries the basis indices of the g
+(HopfAlgebra.generators, read by _generators, through source on a residue
+structure).  The elements on which two algebra maps agree form a
+subalgebra, and so, in an associative algebra, do the a for which a
+multiplicativity law holds at (a, e_j) for every j; a subalgebra that
+holds every g is everything.  So verify_axioms and exhibit_isomorphism
+check such an identity on the generator columns, or on the pairs (g, e_j),
+once the premises that make both sides algebra maps have passed.  An
+identity that fails on the generators, and every identity of a raw
+HopfAlgebra, takes the basis scan, whose report and first offender are
+therefore the ones given.
 
 A structure leaves its ring for int residues by one conversion (_at_one),
 which checked_structure applies once; a caller that checks a structure
@@ -293,8 +297,9 @@ class HopfPresentation:
         (MonomialQuotientAlgebra checks this), so under a lex order the
         g_i^(b_i) are the leading terms; they are pairwise coprime, so the
         rules are a Groebner basis of the ideal they generate.  Delta, eps
-        and S come from algebra_hom, which checks the relations.  The structure is tagged with the basis indices of the
-        generators (HopfAlgebra.generators), on which verify_axioms and
+        and S come from algebra_hom, which checks the relations.  The
+        structure is tagged with the basis indices of the generators
+        (HopfAlgebra.generators), on which verify_axioms and
         exhibit_isomorphism decide the identities of algebra maps.
         """
         if self._structure is None:
@@ -397,30 +402,27 @@ def verify_axioms(h) -> AxiomReport:
     first offenders of the ring check and no fallback.  A structure that is
     not homogeneous, like corrupt-antipode's, is checked over its ring.
 
-    The bialgebra law on pairs, Delta(e_i e_j) = Delta(e_i) Delta(e_j), and
-    the antipode identities are their own Cartier transposes: transposing
-    both sides of Delta o m = (m (x) m)(1 (x) tau (x) 1)(Delta (x) Delta) or
-    of m(S (x) id)Delta = u o eps gives the same law for the transpose
-    (_transpose), and a matrix identity over any ring holds exactly when its
-    transpose does.  So each is decided on the transpose when that side is
-    sparser (_sparser_transpose), and scanned on s for its first offender
-    only when it fails there.  The pair scan of _first_pair is complete only
-    on a commutative side; the transpose's multiplication is Delta^T, so the
-    transpose is taken only for a cocommutative s.
+    Each identity is placed by one rule (module docstring): on the
+    generators of a presentation, else on the sparser side, else by the
+    basis scan; one that fails on the generators or on the transpose is
+    scanned on s for its first offender.
 
-    On a presentation (_generators; module docstring) the identities are
-    decided on its generators g, and an identity that fails there is
-    scanned over the basis for its first offender.  The product is
-    associative with unit 1, so the a with a law at (a, e_j) for every j
-    form a subalgebra: commutativity, "counit is an algebra map" and, when
-    s is the sparser side, the bialgebra law are checked on the pairs
-    (g, e_j) (the transpose keeps its pair scan).  Coassociativity, the
+    On a presentation (_generators) the product is associative with unit
+    1, so the a with a law at (a, e_j) for every j form a subalgebra:
+    commutativity, "counit is an algebra map" and the bialgebra law are
+    checked on the pairs (g, e_j) for the generators g.  Coassociativity, the
     counit identities and the antipode identities each compare two algebra
     maps, which agree on a subalgebra, so they are checked on the generator
     columns once their premises have passed: the bialgebra law for
     coassociativity; it and "counit is an algebra map" for the counit
     identities; those, commutativity, S(1) = 1 and S(g e_j) = S(g) S(e_j)
     for every g and e_j (so S is an algebra map) for the antipode.
+
+    A structure without generators decides the bialgebra law on pairs,
+    Delta(e_i e_j) = Delta(e_i) Delta(e_j), and the antipode identities,
+    each its own Cartier transpose, on _transpose(s) when that side is
+    sparser (_sparser_transpose).  The transpose's multiplication is
+    Delta^T, so it is taken only for a cocommutative s.
     """
     s = checked_structure(h)
     r, p = s.rank, s.modulus
@@ -438,11 +440,13 @@ def verify_axioms(h) -> AxiomReport:
         return gens if all(premises) else None
 
     flip_asymmetric_at = _first_label(s, lambda k: _is_flip_asymmetric(d[k], r))
-    transposed = _sparser_transpose(s) if flip_asymmetric_at is None else None
+    transposed = (_sparser_transpose(s) if gens is None and flip_asymmetric_at is None
+                  else None)
 
-    def on_sparser_side(offender, gens=None):
-        """offender(s, gens), or offender decided on the transpose first
-        when that side is sparser, which keeps the basis scan."""
+    def on_sparser_side(offender, gens):
+        """offender(s, gens), or, with no generators, offender decided on
+        the transpose first when that side is sparser, and on s only for
+        the first offender."""
         if transposed is None:
             return offender(s, gens)
         return None if offender(transposed) is None else offender(s)
@@ -467,8 +471,7 @@ def verify_axioms(h) -> AxiomReport:
     antipode_gens = given(commutative, bialgebra, counit_multiplicative)
     if antipode_gens is not None and not _antipode_multiplicative(s, antipode_gens):
         antipode_gens = None
-    record("antipode identities hold", on_sparser_side(_antipode_at) if antipode_gens is None
-           else _antipode_at(s, antipode_gens))
+    record("antipode identities hold", on_sparser_side(_antipode_at, antipode_gens))
     record("comultiplication is cocommutative", flip_asymmetric_at, required=False)
     return report
 
@@ -486,8 +489,9 @@ def _sparser_transpose(s: HopfAlgebra) -> HopfAlgebra | None:
     comultiplication is m^T, so this picks the side whose comultiplication
     is sparser: the pair scan multiplies comultiplication columns
     (square_mult) and the antipode scan multiplies their factors, so that
-    side is the cheaper one.  It is the transpose for the constant cyclic
-    scheme and the deformation, and s itself for mu."""
+    side is the cheaper one.  verify_axioms asks only for a structure
+    without generators; of the CLI's structures that is the constant cyclic
+    scheme, which it transposes."""
     def nonzeros(m):
         return sum(map(len, m.cols))
     return _transpose(s) if nonzeros(s.comul) > nonzeros(s.mult) else None
@@ -677,27 +681,6 @@ class _Grading:
                    for cols, sources, targets in parts
                    for src, col in zip(sources, cols) for i in col)
 
-    def _replay(self, parts, degrees, o: int) -> bool:
-        """Record the constraints of parts (residue columns, as in
-        _degree_zero), each constant taken as c*t^k with k = sum d(target) -
-        sum d(source) for the degrees d of the unknowns o, o + 1, ...: the
-        constraints, in their order, that the read which gave degrees
-        recorded.  Before the grading tilts, constants that all have k = 0
-        are kept as by _degree_zero.  False on a conflict."""
-        constants = []
-        for cols, sources, targets in parts:
-            for src, col in zip(sources, cols):
-                for i in col:
-                    terms = _net_terms(targets[i], src)
-                    constants.append((terms, sum(a * degrees[v - o] for v, a in terms)))
-        if self.read is not None:
-            if not any(k for _, k in constants):
-                return self._degree_zero(parts)
-            # The first constant with k != 0 tilts the grading (see columns).
-            read, self.read = self.read, None
-            self._degree_zero(read)
-        return all(self._settle(terms, k, self.waiting) for terms, k in constants)
-
     def columns(self, cols, sources, targets) -> list | None:
         """cols at t = 1, each constant c*t^k as the residue c, its
         constraint recorded once tilted; None at the first constant that is
@@ -732,18 +715,16 @@ class _Grading:
         multiplication of s at t = 1, in that order (a stray term like
         corrupt-antipode's is met early), its basis taken as the unknowns
         o, ..., o + rank - 1; None as in columns.  A residue structure s is
-        read for its constraints alone (empty list), from its own residue
-        columns: each nonzero residue stands for c*t^k with, when s holds
-        degrees, k = degrees[target] - degrees[source], the constraint its
-        source gave, and k = 0 otherwise."""
+        read for its constraints alone (empty list): those of its source
+        when it holds degrees, else its own at k = 0."""
+        if s.modulus is not None and s.degrees is not None:
+            return self.structure(s.source, o) and []
         basis = range(o, o + s.rank)
         ones = [(v,) for v in basis]
         pairs = list(itertools.product(basis, repeat=2))
         parts = (([s.unit], [()], ones), (s.counit.cols, ones, [()]),
                  (s.antipode.cols, ones, ones), (s.comul.cols, ones, pairs),
                  (s.mult.cols, pairs, ones))
-        if s.modulus is not None and s.degrees is not None:
-            return [] if self._replay(parts, s.degrees, o) else None
         if s.modulus is not None:
             return [] if self._degree_zero(parts) else None
         out = []
@@ -1493,18 +1474,6 @@ def catalog_dual(entry: CatalogEntry):
     name = {"mu": "constant_cyclic", "constant_cyclic": "mu"}[entry.name]
     partner = catalog_build(name, entry.p, entry.k, entry.fiber)
     return partner, dual, LinearMap.identity(ring, r)
-
-
-def alpha_self_duality(p: int, fiber: Fiber):
-    """alpha_p -> its own dual, x^a -> a!*(x^a)*."""
-    entry, dual, phi = catalog_dual(catalog_build("alpha_p", p, 1, fiber))
-    return entry.hopf, dual, phi
-
-
-def iso_mu_to_dual_constant(p: int, k: int, fiber: Fiber):
-    """mu_q -> dual of the constant cyclic scheme: z^j -> (d_j)*."""
-    mu, dual, phi = catalog_dual(catalog_build("constant_cyclic", p, k, fiber))
-    return mu.hopf, dual, phi
 
 
 def double_dual_report(h, dual: HopfAlgebra | None = None) -> IsoReport:

@@ -28,7 +28,6 @@ from hopfdeform.hopf import (
     IsoCheck,
     IsoReport,
     MUTATIONS,
-    alpha_self_duality,
     as_structure,
     cartier_dual,
     catalog_build,
@@ -43,7 +42,6 @@ from hopfdeform.hopf import (
     is_grouplike,
     iso_alpha_product_to_dual_special,
     iso_constant_to_dual_generic,
-    iso_mu_to_dual_constant,
     iso_mu_to_generic,
     iso_special_to_alpha_product,
     presentation_to_json,
@@ -384,13 +382,13 @@ class TestCartierDuality:
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_alpha_p_is_self_dual(self, p):
-        h, dual, phi = alpha_self_duality(p, Fiber.SPECIAL)
-        assert exhibit_isomorphism(h, dual, phi).ok
+        entry, dual, phi = hopf.catalog_dual(catalog_build("alpha_p", p, 1, Fiber.SPECIAL))
+        assert exhibit_isomorphism(entry.hopf, dual, phi).ok
 
     @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_mu_is_dual_to_the_constant_scheme(self, p, k):
-        mu, dual, phi = iso_mu_to_dual_constant(p, k, Fiber.GENERIC)
-        assert exhibit_isomorphism(mu, dual, phi).ok
+        mu, dual, phi = hopf.catalog_dual(catalog_build("constant_cyclic", p, k, Fiber.GENERIC))
+        assert exhibit_isomorphism(mu.hopf, dual, phi).ok
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_double_dual_is_canonically_the_identity(self, p):
@@ -1971,9 +1969,10 @@ def side_choice_off(monkeypatch):
     monkeypatch.setattr(hopf, "_sparser_transpose", lambda s: None)
 
 
-def counting_transposed(monkeypatch):
+def counting_transposed(monkeypatch, sources=None):
     """The transposes verify_axioms takes its self-transposed checks to, in
-    order; the list keeps them alive, so their ids stay theirs."""
+    order, and in sources, when given, the structures they are taken of; the
+    lists keep them alive, so their ids stay theirs."""
     real = hopf._sparser_transpose
     taken = []
 
@@ -1981,6 +1980,8 @@ def counting_transposed(monkeypatch):
         t = real(s)
         if t is not None:
             taken.append(t)
+            if sources is not None:
+                sources.append(s)
         return t
 
     monkeypatch.setattr(hopf, "_sparser_transpose", counting)
@@ -2017,11 +2018,15 @@ class TestSparserSideOracle:
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_pipeline_catalog_and_mutations_are_unchanged(self, capsys, monkeypatch, p):
-        taken = counting_transposed(monkeypatch)
+        sources = []
+        taken = counting_transposed(monkeypatch, sources)
         on = self.pipeline_reports(p), self.commands(capsys, p)
-        # The deformation, its generic fiber, the quotient and the constant
-        # schemes, here and in the commands.
-        assert len(taken) >= 10
+        # Presentations decide both laws on their generators, so only the
+        # constant schemes are transposed: each of the four here twice
+        # (catalog_build checks it, then the report), and the generic one of
+        # the unmutated command's dual step.
+        assert len(taken) == 9
+        assert all(hopf._generators(x) is None and x.labels[0] == "d0" for x in sources)
         assert all(rep["passed"] for rep in on[0])
         assert [code for code, _ in on[1]] == [0, 1, 1, 1]
         side_choice_off(monkeypatch)
@@ -2152,9 +2157,14 @@ class TestSparserSideWork:
         assert cli.main(["--format", "json"] + argv) == 0
         capsys.readouterr()
         assert sum(calls.values()) > 0
-        denser = {k: (s.labels[1], calls[k]) for k, s in receivers.items()
+        denser = {k: s for k, s in receivers.items()
                   if is_cocommutative(s) and nonzeros(s.comul) > nonzeros(s.mult)}
-        assert denser == {}
+        # A denser receiver is a presentation, multiplying on the pairs
+        # (g, e_j) of its generators: in verify, the deformation, its generic
+        # fiber and the quotient by x.  There is no untagged one.
+        assert all(calls[k] <= len(hopf._generators(s)) * s.rank for k, s in denser.items())
+        assert [(s.labels[1], s.rank, calls[k]) for k, s in denser.items()] == (
+            [("y", 25, 50), ("y", 25, 50), ("y", 5, 5)] if argv[0] == "verify" else [])
 
     def test_transpose_keeps_int_residues(self):
         # Over F_3 the transpose of the residue structure holds the residues
@@ -2184,16 +2194,20 @@ class TestSparserSideWork:
         else:
             h = catalog_build("constant_cyclic", 3, 2, Fiber.GENERIC).hopf
         checked = hopf.checked_structure(h)
+        reach = TestResidueCopiesDoNotOutliveTheCheck.reachable
+        before = {id(obj) for root in (h, checked) for obj in reach(root)}
         taken = counting_transposed(monkeypatch)
         report = verify_axioms(checked)
         assert report.ok == (which != "corrupt-antipode")
-        assert len(taken) == 1
-        # corrupt-antipode is not homogeneous: its transpose is over R.
-        assert (taken[0].modulus is None) == (which == "corrupt-antipode")
-        reach = TestResidueCopiesDoNotOutliveTheCheck.reachable
+        # A presentation takes no transpose, the constant cyclic scheme one.
+        assert len(taken) == (which == "generic-constant")
         ids = {id(obj) for root in (h, checked) for obj in reach(root)}
-        transposed = {id(obj) for obj in reach(taken[0])} - {id(obj) for obj in reach(checked)}
-        assert id(taken[0]) in transposed and not ids & transposed
+        assert ids == before
+        for t in taken:
+            # The constant scheme is t-free: its transpose holds residues.
+            assert t.modulus == 3
+            transposed = {id(obj) for obj in reach(t)} - {id(obj) for obj in reach(checked)}
+            assert id(t) in transposed and not ids & transposed
 
 
 def generators_off(monkeypatch):
@@ -2378,6 +2392,23 @@ class TestGeneratorWork:
         assert verify_axioms(s).ok
         assert applied == list(s.comul.cols)
 
+    def test_antipode_reads_only_the_generator_columns(self, monkeypatch):
+        # _factor_groups splits each comultiplication column once for the
+        # cocommutativity check, and the antipode split only the generators'.
+        s = hopf.checked_structure(deformation_hopf(5))
+        real = hopf._factor_groups
+        split = []
+        monkeypatch.setattr(hopf, "_factor_groups", lambda u, r: split.append(u) or real(u, r))
+        assert verify_axioms(s).ok
+        d = s.comul.cols
+        assert split == list(d) + [d[g] for g in hopf._generators(s)]
+        # Negative control: with the tag off the antipode goes to the
+        # transpose, the sparser side, and splits each of its columns.
+        split.clear()
+        generators_off(monkeypatch)
+        assert verify_axioms(s).ok
+        assert split[:s.rank] == list(d) and len(split) == 2 * s.rank
+
     def test_mu_makes_at_most_two_products_per_basis_element(self, monkeypatch):
         s = hopf.checked_structure(catalog_build("mu", 5, 2, Fiber.GENERIC).hopf)
         calls = []
@@ -2422,6 +2453,61 @@ class TestGeneratorWork:
         assert raw.generators is None
 
 
+def reaching_transpose(monkeypatch):
+    """(structure, its sparser transpose or None) for every structure
+    handed to hopf._sparser_transpose, in order."""
+    real = hopf._sparser_transpose
+    seen = []
+
+    def recording(s):
+        t = real(s)
+        seen.append((s, t))
+        return t
+
+    monkeypatch.setattr(hopf, "_sparser_transpose", recording)
+    return seen
+
+
+class TestPlacement:
+    """verify_axioms places each check by one rule: on the generators of a
+    presentation, else on the sparser side, else by the basis scan.  So no
+    presentation reaches the transpose.  With the tag off, TestGeneratorOracle
+    sends a presentation's self-transposed laws to the transpose when it is
+    the sparser side, so that oracle compares the generator route with the
+    transposed route on the deformation, its generic fiber and the quotient."""
+
+    @pytest.mark.parametrize("mutation", [None] + sorted(MUTATIONS))
+    @pytest.mark.parametrize("argv", [["verify", "--p", "2"], ["verify", "--p", "3"],
+                                      ["verify", "--p", "5", "--slow"]])
+    def test_no_presentation_reaches_the_transpose(self, capsys, monkeypatch, argv, mutation):
+        seen = reaching_transpose(monkeypatch)
+        tagged = counting_tagged(monkeypatch)
+        extra = [] if mutation is None else ["--mutate", mutation]
+        assert cli.main(["--format", "json"] + argv + extra) == (0 if mutation is None else 1)
+        capsys.readouterr()
+        q = int(argv[2]) ** 2
+        if mutation is None:
+            # The generic constant scheme of the dual step, transposed.
+            assert [(s.labels, t is not None) for s, t in seen] == [
+                (tuple(f"d{j}" for j in range(q)), True)]
+        else:
+            # corrupt-antipode stops at axioms-base-ring, the two others at
+            # build.
+            assert seen == []
+            assert bool(tagged) == (mutation == "corrupt-antipode")
+        assert all(hopf._generators(s) is None for s, _ in seen)
+
+    @pytest.mark.parametrize("p", PRIMES + [5])
+    def test_the_constant_cyclic_scheme_still_reaches_it(self, monkeypatch, p):
+        for k in (1, 2):
+            for fiber in Fiber:
+                seen = reaching_transpose(monkeypatch)
+                entry = catalog_build("constant_cyclic", p, k, fiber)
+                assert [s for s, _ in seen] == [entry.checked]
+                assert seen[0][1] is not None and hopf._generators(entry.checked) is None
+                assert entry.checked.rank == p**k
+
+
 class TestSharedDuals:
     def test_dual_builds_one_cartier_dual(self, capsys, monkeypatch):
         calls = []
@@ -2443,8 +2529,9 @@ class TestSharedDuals:
 
 
 class TestGradedReplay:
-    """A side already on graded residues gives its constraints from its own
-    residue columns, with the degrees it holds."""
+    """A side already on graded residues is taken as it is, and gives the
+    constraints of the source it was read from: the conversion agrees with
+    reading that source over the ring."""
 
     @pytest.mark.parametrize("p", PRIMES + [5])
     def test_replay_gives_the_ring_read(self, monkeypatch, p):
@@ -2456,8 +2543,11 @@ class TestGradedReplay:
         monkeypatch.setattr(hopf._Grading, "columns",
                             lambda g, cols, *rest: read.append(cols) or real(g, cols, *rest))
         replayed = hopf._at_one((mu, checked), phi)
-        # Only phi is read over the ring; the generic fiber is replayed.
-        assert read == [phi.cols]
+        # mu is t-free and gives its constraints at k = 0 from its residues;
+        # the generic fiber's are read again from its source, then phi.
+        src = checked.source
+        assert read == [[src.unit], src.counit.cols, src.antipode.cols, src.comul.cols,
+                        src.mult.cols, phi.cols]
         from_ring = hopf._at_one((mu, as_structure(ge)), phi)
         assert replayed[1] is checked
         assert replayed[2].cols == from_ring[2].cols
