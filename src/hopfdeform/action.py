@@ -11,7 +11,10 @@ the top coefficient is a unit: the obstruction in degree top - e_i equals
 The free-locus command enumerates the action points once and hands the
 list to both of its checks.  Frobenius is F_p-linear on a test algebra, so
 the nilpotent coordinates are the kernel of one residue matrix, the p-th
-powers of the basis monomials.  The hyperplane probes form each
+powers of the basis monomials.  The action laws are decided by
+linearity: the spanning elements beta * x^a are an F_p basis, so each used
+point gets one residue matrix, its translates of them, and a pair (b, c)
+is the identity M_c * M_b = M_{b+c} mod p.  The hyperplane probes form each
 multiplication matrix as a residue combination of the basis-monomial
 matrices, built once per call; probe blocks with equal content are one
 shared tuple, evaluated once per candidate.  A random trial reads its
@@ -380,11 +383,18 @@ def is_action(p, n, B, translate_fn=translate, max_pairs: int = 500,
     caller has none.  All point pairs are tried when their number is at
     most max_pairs; beyond that a seeded sample of pairs is used.
     translate_fn is called with translate's own signature, (f, point,
-    expansion_table(p, n, point)); each table is built on first use, so
-    only points that occur get one.
-    translate_fn must be a function of its arguments: for each spanning
-    element f, its value at a point is computed once and serves as both
-    T_b f and T_{b+c} f, and only the outer T_c(T_b f) is taken per pair.
+    expansion_table(p, n, point)), once per spanning element f and used
+    point: 0 and every b, c and b + c of a pair.  Each table is built on
+    first use, so only points that occur get one.
+
+    translate_fn must be F_p-linear in f, and the law is decided for the
+    linear maps its values on the spanning basis define.  The spanning
+    elements beta * x^a are an F_p basis of B[x]/(x^p)^n, so T_b is the
+    residue matrix M_b whose column j is translate_fn(reps[j], b), read in
+    that basis.  The identity law compares the translates at 0 with the
+    spanning elements as elements; a pair (b, c) passes when M_c * M_b and
+    M_{b+c} agree mod p, column by column.  translate is B-linear, so for it
+    this is T_c(T_b f) = T_{b+c} f on every f.
     """
     if points is None:
         points = enumerate_action_points(p, n, B)
@@ -399,7 +409,7 @@ def is_action(p, n, B, translate_fn=translate, max_pairs: int = 500,
             for _ in range(max_pairs)
         ]
 
-    # every point that occurs, numbered in order of first use, with its table
+    # every point that occurs, numbered in order of first use
     used: list = []
     slots: dict = {}
 
@@ -407,36 +417,54 @@ def is_action(p, n, B, translate_fn=translate, max_pairs: int = 500,
         k = slots.get(pt)
         if k is None:
             k = slots[pt] = len(used)
-            used.append((pt, expansion_table(p, n, pt)))
+            used.append(pt)
         return k
 
     slot(zero_point(B, n))
     triples = [(slot(b), slot(c), slot(b + c)) for b, c in pairs]
-    # the translates of every spanning element by a point are kept only
-    # while a later pair still reads them as T_b f or T_{b+c} f
+    # a point's matrix is kept only while a later pair still reads it as
+    # M_b, M_c or M_{b+c}
     uses = [0] * len(used)
-    for kb, _, kbc in triples:
-        uses[kb] += 1
-        uses[kbc] += 1
-    moved = {0: [translate_fn(f, *used[0]) for f in reps]}
-    if moved[0] != reps:
-        return False
+    for triple in triples:
+        for k in triple:
+            uses[k] += 1
+    # beta * x^a, the spanning element at index s * p^n + (index of a), as
+    # spanning_elements lists them
+    width = p**n
+    row_of = {exps: s * width for s, exps in enumerate(B.iter_basis())}
+    column_of = {a: i for i, a in enumerate(itertools.product(range(p), repeat=n))}
 
-    def move(k):
-        fs = moved.get(k)
-        if fs is None:
-            pt, table = used[k]
-            fs = moved[k] = [translate_fn(f, pt, table) for f in reps]
+    def matrix_of(moved):
+        # column j holds the residues of moved[j] in the spanning basis
+        return LinearMap.of_residues(B.ring, len(reps), len(reps), [
+            {row_of[exps] + column_of[a]: k.residue
+             for a, c in g.coefficients.items() for exps, k in c.coeffs.items() if k.residue}
+            for g in moved])
+
+    def translates(k):
+        pt = used[k]
+        table = expansion_table(p, n, pt)
+        return [translate_fn(f, pt, table) for f in reps]
+
+    at_zero = translates(0)
+    if at_zero != reps:
+        return False
+    matrices = {0: matrix_of(at_zero)}
+
+    def matrix(k):
+        m = matrices.get(k)
+        if m is None:
+            m = matrices[k] = matrix_of(translates(k))
         uses[k] -= 1
         if not uses[k]:
-            del moved[k]
-        return fs
+            del matrices[k]
+        return m
 
     for kb, kc, kbc in triples:
-        c, tc = used[kc]
-        for fb, fbc in zip(move(kb), move(kbc)):
-            if translate_fn(fb, c, tc) != fbc:
-                return False
+        mb, mc, mbc = matrix(kb), matrix(kc), matrix(kbc)
+        # column j of M_c * M_b is M_c applied to column j of M_b
+        if any(mc.apply(col) != want for col, want in zip(mb.cols, mbc.cols)):
+            return False
     return True
 
 

@@ -269,6 +269,31 @@ class TestStabilizer:
                     assert (a + b) in stab
 
 
+def law_pairs(points, max_pairs, seed=DEFAULT_SEED):
+    """The pairs (b, c) is_action tries: all of them, or its seeded sample."""
+    if len(points)**2 <= max_pairs:
+        return [(b, c) for b in points for c in points]
+    rng = random.Random(seed)
+    return [(points[rng.randrange(len(points))], points[rng.randrange(len(points))])
+            for _ in range(max_pairs)]
+
+
+def reference_is_action(p, n, B, translate_fn=translate, max_pairs=500, seed=DEFAULT_SEED):
+    """The action laws by direct evaluation on elements: T_0 f == f, and
+    T_c(T_b f) == T_{b+c} f for every spanning element f and pair (b, c)."""
+    reps = spanning_elements(p, n, B)
+
+    def moved(f, pt):
+        return translate_fn(f, pt, expansion_table(p, n, pt))
+
+    zero = zero_point(B, n)
+    if [moved(f, zero) for f in reps] != reps:
+        return False
+    return all(moved(moved(f, b), c) == moved(f, b + c)
+               for b, c in law_pairs(enumerate_action_points(p, n, B), max_pairs, seed)
+               for f in reps)
+
+
 class TestActionLaws:
     # ε^p coincides with ε^2 at p = 2; the distinct cells still all run.
     MATRIX = [
@@ -322,8 +347,8 @@ class TestActionLaws:
         (3, 2, trunc_algebra(3, ("e", 3)), 40),           # 81 points, 40 sampled
     ])
     def test_each_inner_translate_runs_once(self, monkeypatch, p, n, B, max_pairs):
-        # an inner call gets a spanning element itself; an outer call gets
-        # the translate an inner call returned
+        # every call gets a spanning element itself, once per used point: 0
+        # and each b, c and b + c of a pair, the points that get a table
         honest_span = action_module.spanning_elements
         reps = []
 
@@ -337,21 +362,85 @@ class TestActionLaws:
             calls.append((f, pt))
             return translate(f, pt, table)
 
+        tabled = []
+
+        def counting_table(p, n, pt):
+            tabled.append(pt)
+            return expansion_table(p, n, pt)
+
         monkeypatch.setattr(action_module, "spanning_elements", recording_span)
+        monkeypatch.setattr(action_module, "expansion_table", counting_table)
         assert is_action(p, n, B, translate_fn=counting, max_pairs=max_pairs)
         rep_ids = {id(f) for f in reps}
         inner = [(id(f), pt) for f, pt in calls if id(f) in rep_ids]
+        assert len(inner) == len(calls)
         assert len(inner) == len(set(inner))
-        points = len(enumerate_action_points(p, n, B))
-        pairs = min(points**2, max_pairs)
-        assert len(calls) - len(inner) == len(reps) * pairs
-        assert len(calls) <= len(reps) * (points + pairs + 1)
-        if points**2 <= max_pairs:
-            assert len(inner) == len(reps) * points
+        points = enumerate_action_points(p, n, B)
+        pairs = min(len(points)**2, max_pairs)
+        expected = {zero_point(B, n)} | {q for b, c in law_pairs(points, max_pairs)
+                                          for q in (b, c, b + c)}
+        assert len(tabled) == len(set(tabled)) and set(tabled) == expected
+        u = len(set(tabled))
+        assert {pt for _, pt in calls} == expected
+        assert len(calls) == len(reps) * u
+        assert len(calls) <= len(reps) * (len(points) + pairs + 1)
+        if len(points)**2 <= max_pairs:
+            assert len(inner) == len(reps) * len(points)
 
     def test_spanning_set_size(self):
         B = trunc_algebra(2, ("e", 2))
         assert len(spanning_elements(2, 2, B)) == B.rank * 4
+
+
+class TestActionLawOracle:
+    """is_action decides each pair as one residue-matrix identity; the
+    direct evaluation on elements gives the same verdict."""
+
+    @pytest.mark.parametrize("p,n,B", TestActionLaws.MATRIX)
+    def test_matrix_cell_verdicts_agree(self, p, n, B):
+        assert is_action(p, n, B, max_pairs=150) == reference_is_action(p, n, B, max_pairs=150)
+
+    def test_dropped_cross_term_is_rejected_by_both(self):
+        B = trunc_algebra(3, ("e", 3))
+
+        def corrupted(f, pt, table=None):
+            c2 = f.coefficient((2,))
+            cross = c2 * pt.coordinates[0]
+            return translate(f, pt, table) - RegularRepElement(3, 1, B, {(1,): cross + cross})
+
+        assert not reference_is_action(3, 1, B, translate_fn=corrupted)
+        assert not is_action(3, 1, B, translate_fn=corrupted)
+
+    def test_wrong_only_at_a_point_used_only_as_c(self):
+        # 81 points, 40 sampled pairs: some nonzero c0 is the c of a pair
+        # and never a b or a b + c, so only the outer translate reads it
+        B, max_pairs = trunc_algebra(3, ("e", 3)), 40
+        pairs = law_pairs(enumerate_action_points(3, 2, B), max_pairs)
+        inner = {q for b, c in pairs for q in (b, b + c)}
+        c0 = next(c for _, c in pairs if c not in inner and not c.is_zero())
+
+        def corrupted(f, pt, table=None):
+            # F_p-linear in f: no shift at c0
+            return f if pt == c0 else translate(f, pt, table)
+
+        assert not reference_is_action(3, 2, B, translate_fn=corrupted, max_pairs=max_pairs)
+        assert not is_action(3, 2, B, translate_fn=corrupted, max_pairs=max_pairs)
+
+    def test_wrong_only_at_the_zero_point(self):
+        # a seed whose 40 sampled pairs never reach 0, so only the identity
+        # law sees the corruption
+        B, max_pairs = trunc_algebra(3, ("e", 3)), 40
+        points, zero = enumerate_action_points(3, 2, B), zero_point(B, 2)
+        seed = next(s for s in itertools.count(DEFAULT_SEED)
+                    if all(zero not in (b, c, b + c) for b, c in law_pairs(points, max_pairs, s)))
+
+        def corrupted(f, pt, table=None):
+            g = translate(f, pt, table)
+            return g + g if pt.is_zero() else g
+
+        assert not reference_is_action(3, 2, B, translate_fn=corrupted, max_pairs=max_pairs,
+                                       seed=seed)
+        assert not is_action(3, 2, B, translate_fn=corrupted, max_pairs=max_pairs, seed=seed)
 
 
 class TestFreeLocus:
